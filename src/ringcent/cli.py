@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Verbs: inspect, gallery, enumerate, search, verify, product.  Exit code is 0
-exactly when no violations or errors occurred.  RINGCENT_TIME_BUDGET_SECS
-bounds enumeration; RINGCENT_BACKEND picks the numba or numpy kernels.
+exactly when no violations or errors occurred, and 2 on a RingError.
+RINGCENT_TIME_BUDGET_SECS is the wall-clock deadline for enumeration.
 """
 
 import argparse

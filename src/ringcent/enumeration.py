@@ -10,6 +10,7 @@ deterministic however the work is scheduled.
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -19,14 +20,17 @@ from typing import Optional
 
 import numpy as np
 
-from . import backend, groups, kernels
+from . import groups, kernels
 from .abelian import classify_additive
 from .centralizers import cent_set, commutativity_degree
-from .errors import PartialUniverse, TooLarge
+from .errors import PartialUniverse, RingError, TooLarge
 from .rings import FiniteRing, RingSpec, validate
 
 MAX_ENUM_ORDER = 16
 MAX_CANON_ORDER = 16
+
+ENV_TIME_BUDGET = "RINGCENT_TIME_BUDGET_SECS"
+DEFAULT_TIME_BUDGET_SECS = 120.0
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +436,14 @@ def _search_inputs(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def raw_structures(factors: tuple[int, ...], g11: Optional[int] = None,
-                   node_cap: int = 1 << 62) -> np.ndarray:
+                   deadline: Optional[float] = None) -> np.ndarray:
     """All associative generator-product assignments on the given group, in
-    lexicographic order; optionally restricted to one g1*g1 partition."""
+    lexicographic order; optionally restricted to one g1*g1 partition.
+
+    `deadline` is a time.monotonic() value; a search still running when it
+    passes raises PartialUniverse naming the group, the partition and the
+    nodes searched.
+    """
     factors = tuple(int(d) for d in factors)
     cv, allowed = _search_inputs(factors)
     if g11 is not None:
@@ -442,11 +451,14 @@ def raw_structures(factors: tuple[int, ...], g11: Optional[int] = None,
         mask[g11] = allowed[0, g11]
         allowed = allowed.copy()
         allowed[0] = mask
-    assignments, status, _ = kernels.structure_search(factors, cv, allowed, node_cap)
+    assignments, status, nodes = kernels.structure_search(
+        factors, cv, allowed, deadline
+    )
     if status != 0:
         raise PartialUniverse(
-            f"node budget exhausted on group {list(factors)}"
+            f"time budget ran out on group {list(factors)}"
             + (f", partition g1*g1={g11}" if g11 is not None else "")
+            + f", after {nodes} search nodes"
         )
     return assignments
 
@@ -501,23 +513,43 @@ def _partition_values(factors: tuple[int, ...]) -> list[int]:
     return [int(v) for v in np.flatnonzero(allowed[0])]
 
 
+def time_budget_secs() -> float:
+    """Enumeration wall-clock budget from RINGCENT_TIME_BUDGET_SECS, 120 s
+    when unset; anything but a positive number of seconds is a RingError."""
+    raw = os.environ.get(ENV_TIME_BUDGET, "").strip()
+    if not raw:
+        return DEFAULT_TIME_BUDGET_SECS
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not value > 0:
+        raise RingError(
+            f"{ENV_TIME_BUDGET} must be a positive number of seconds, "
+            f"not {raw!r}"
+        )
+    return value
+
+
 def enumerate_rings(n: int, up_to_iso: bool = True,
                     out_dir: Optional[str] = None, resume: bool = False,
                     budget_secs: Optional[float] = None) -> IsoClassCatalog:
     """Catalog of all rings of order n, optionally deduped by isomorphism.
 
-    The run is bounded by budget_secs (default RINGCENT_TIME_BUDGET_SECS);
-    overrunning raises PartialUniverse instead of returning a silently
-    truncated catalog.  With out_dir set, per-partition results and a
-    manifest are written as the run goes; resume=True skips partitions the
-    manifest already records as done.
+    The search is bounded by a wall-clock deadline budget_secs from the start
+    (default time_budget_secs()); a search still running at the deadline
+    raises PartialUniverse, saying how far the run got, instead of returning
+    a silently truncated catalog.  With out_dir set, per-partition results
+    and a manifest are written as the run goes; resume=True skips partitions
+    the manifest already records as done.
     """
     if n > MAX_ENUM_ORDER:
         raise TooLarge(f"exhaustive enumeration is capped at order {MAX_ENUM_ORDER}")
     if n < 1:
         raise TooLarge("order must be >= 1")
-    budget = budget_secs if budget_secs is not None else backend.time_budget_secs()
-    deadline = time.monotonic() + budget
+    budget = budget_secs if budget_secs is not None else time_budget_secs()
+    start = time.monotonic()
+    deadline = start + budget
     out_path = Path(out_dir) if out_dir else None
     manifest = _read_manifest(out_path, n) if (out_path and resume) else None
     if out_path:
@@ -528,7 +560,9 @@ def enumerate_rings(n: int, up_to_iso: bool = True,
     partition_log: list[dict] = []
     raw_rings: list[tuple[tuple[int, ...], np.ndarray]] = []
 
-    for factors in groups.abelian_group_types(n):
+    partitions = [(factors, _partition_values(factors))
+                  for factors in groups.abelian_group_types(n)]
+    for factors, values in partitions:
         if not factors:  # order 1: just the zero ring
             per_type_raw[factors] = 1
             raw_rings.append((factors, np.zeros(0, dtype=np.int64)))
@@ -537,25 +571,21 @@ def enumerate_rings(n: int, up_to_iso: bool = True,
             )
             continue
         total = 0
-        for v in _partition_values(factors):
+        for v in values:
             part_name = f"t{'x'.join(map(str, factors))}_g{v:02d}.json"
             if _manifest_has(manifest, factors, v):
                 assignments = _load_part(out_path, part_name)
             else:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+                try:
+                    assignments = raw_structures(factors, g11=v, deadline=deadline)
+                except PartialUniverse as exc:
                     _flush_manifest(out_path, n, partition_log, complete=False)
                     raise PartialUniverse(
-                        f"time budget exhausted before group {list(factors)}, "
-                        f"partition g1*g1={v}"
-                    )
-                try:
-                    assignments = raw_structures(
-                        factors, g11=v, node_cap=backend.node_cap(remaining)
-                    )
-                except PartialUniverse:
-                    _flush_manifest(out_path, n, partition_log, complete=False)
-                    raise
+                        f"{exc}; {len(partition_log)} of "
+                        f"{sum(len(vs) for _, vs in partitions)} partitions "
+                        f"finished, {time.monotonic() - start:.2f} s ran "
+                        f"against a {budget:g} s budget"
+                    ) from None
                 if out_path:
                     _save_part(out_path, part_name, factors, v, assignments)
             total += assignments.shape[0]

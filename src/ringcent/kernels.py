@@ -1,15 +1,14 @@
 """Hot loops: table-law checking and structure-constant search.
 
-Every kernel exists twice: an @njit version with early exit and a pure-numpy
-version working on vectorized slabs.  `backend.active_backend()` picks which
-one runs.  Both versions of a kernel return identical results (including the
-*first* failing triple, in lexicographic scan order), which the test suite
-exploits as a cross-check.
+Each kernel has one numpy implementation working on vectorized slabs.  The
+law checks report the *first* failing triple in lexicographic scan order,
+which is what validation error messages quote; the structure search emits
+its rows in lexicographic order and can stop at a wall-clock deadline.
 """
 
-import numpy as np
+import time
 
-from .backend import active_backend, njit
+import numpy as np
 
 OK = 0
 BAD_IDENTITY = 1
@@ -21,44 +20,15 @@ NONDISTRIBUTIVE_LEFT = 6
 NONDISTRIBUTIVE_RIGHT = 7
 
 _CHUNK_ROWS = 32          # slab height for vectorized triple checks
-_BFS_CHUNK = 1 << 14      # partial assignments per slab in the numpy search
+_BFS_CHUNK = 1 << 14      # partial assignments per slab in the search
 
 
 # ---------------------------------------------------------------------------
 # addition table: identity at 0, commutative, associative, inverses
 
 
-@njit(cache=True)
-def _add_check_nb(A):
-    n = A.shape[0]
-    for j in range(n):
-        if A[0, j] != j:
-            return BAD_IDENTITY, 0, j, -1
-    for i in range(n):
-        if A[i, 0] != i:
-            return BAD_IDENTITY, i, 0, -1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if A[i, j] != A[j, i]:
-                return NONCOMMUTATIVE_ADD, i, j, -1
-    for i in range(n):
-        for j in range(n):
-            aij = A[i, j]
-            for k in range(n):
-                if A[aij, k] != A[i, A[j, k]]:
-                    return NONASSOCIATIVE_ADD, i, j, k
-    for i in range(n):
-        found = False
-        for j in range(n):
-            if A[i, j] == 0:
-                found = True
-                break
-        if not found:
-            return NO_INVERSE, i, -1, -1
-    return OK, -1, -1, -1
-
-
-def _add_check_np(A):
+def add_table_check(A):
+    """First violated additive-group law in table A, or (OK, -1, -1, -1)."""
     n = A.shape[0]
     ar = np.arange(n)
     bad = np.flatnonzero(A[0] != ar)
@@ -86,30 +56,12 @@ def _add_check_np(A):
     return OK, -1, -1, -1
 
 
-def add_table_check(A):
-    """First violated additive-group law in table A, or (OK, -1, -1, -1)."""
-    if active_backend() == "numba":
-        return _add_check_nb(A)
-    return _add_check_np(A)
-
-
 # ---------------------------------------------------------------------------
 # multiplication: associativity
 
 
-@njit(cache=True)
-def _mul_assoc_nb(M):
-    n = M.shape[0]
-    for i in range(n):
-        for j in range(n):
-            mij = M[i, j]
-            for k in range(n):
-                if M[mij, k] != M[i, M[j, k]]:
-                    return NONASSOCIATIVE_MUL, i, j, k
-    return OK, -1, -1, -1
-
-
-def _mul_assoc_np(M):
+def mul_assoc_check(M):
+    """First associativity failure in M, or (OK, -1, -1, -1)."""
     n = M.shape[0]
     for lo in range(0, n, _CHUNK_ROWS):
         rows = np.arange(lo, min(lo + _CHUNK_ROWS, n))
@@ -122,34 +74,12 @@ def _mul_assoc_np(M):
     return OK, -1, -1, -1
 
 
-def mul_assoc_check(M):
-    """First associativity failure in M, or (OK, -1, -1, -1)."""
-    if active_backend() == "numba":
-        return _mul_assoc_nb(M)
-    return _mul_assoc_np(M)
-
-
 # ---------------------------------------------------------------------------
 # distributivity (both sides)
 
 
-@njit(cache=True)
-def _distrib_nb(A, M):
-    n = A.shape[0]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if M[i, A[j, k]] != A[M[i, j], M[i, k]]:
-                    return NONDISTRIBUTIVE_LEFT, i, j, k
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if M[A[i, j], k] != A[M[i, k], M[j, k]]:
-                    return NONDISTRIBUTIVE_RIGHT, i, j, k
-    return OK, -1, -1, -1
-
-
-def _distrib_np(A, M):
+def distrib_check(A, M):
+    """First distributivity failure of M over A, or (OK, -1, -1, -1)."""
     n = A.shape[0]
     for lo in range(0, n, _CHUNK_ROWS):
         rows = np.arange(lo, min(lo + _CHUNK_ROWS, n))
@@ -170,26 +100,20 @@ def _distrib_np(A, M):
     return OK, -1, -1, -1
 
 
-def distrib_check(A, M):
-    """First distributivity failure of M over A, or (OK, -1, -1, -1)."""
-    if active_backend() == "numba":
-        return _distrib_nb(A, M)
-    return _distrib_np(A, M)
-
-
 # ---------------------------------------------------------------------------
 # structure-constant search
 #
 # A bilinear multiplication on Z_{d1} x ... x Z_{dk} is a choice of g_i*g_j
 # for every generator pair, i.e. k*k cells each holding a group element.
-# Cells are filled in row-major order; after each assignment every generator
-# associativity constraint (g_a g_b) g_c = g_a (g_b g_c) whose inputs are all
-# available is evaluated, pruning the branch on the first mismatch.  A
-# constraint's inputs are cells (a,b), (b,c), plus (m,c) for m in the support
-# of g_a*g_b and (a,m) for m in the support of g_b*g_c; the support-dependent
-# cells make availability dynamic, so constraints are re-attempted while
-# filling.  The candidate lists below guarantee each constraint is attempted
-# at the depth where its last input arrives.
+# Cells are filled in row-major order, one breadth-first level per cell;
+# after each assignment every generator associativity constraint
+# (g_a g_b) g_c = g_a (g_b g_c) whose inputs are all available is evaluated,
+# pruning the row on a mismatch.  A constraint's inputs are cells (a,b),
+# (b,c), plus (m,c) for m in the support of g_a*g_b and (a,m) for m in the
+# support of g_b*g_c; the support-dependent cells make availability dynamic,
+# so constraints are re-attempted while filling.  The candidate lists below
+# guarantee each constraint is attempted at the depth where its last input
+# arrives.
 
 
 def constraint_candidates(k):
@@ -215,95 +139,22 @@ def constraint_candidates(k):
     return offs, np.concatenate(buckets)
 
 
-@njit(cache=True)
-def _constraints_ok_nb(k, d, coeff, assign, t, cand_off, cand_abc, lhs, rhs):
-    for idx in range(cand_off[t], cand_off[t + 1]):
-        a = cand_abc[idx, 0]
-        b = cand_abc[idx, 1]
-        c = cand_abc[idx, 2]
-        ab = a * k + b
-        bc = b * k + c
-        if ab > t or bc > t:
-            continue
-        checkable = True
-        for q in range(k):
-            lhs[q] = 0
-            rhs[q] = 0
-        # (g_a g_b) g_c
-        vab = coeff[assign[ab]]
-        for m in range(k):
-            if vab[m] != 0:
-                mc = m * k + c
-                if mc > t:
-                    checkable = False
-                    break
-                vm = coeff[assign[mc]]
-                for q in range(k):
-                    lhs[q] += vab[m] * vm[q]
-        if not checkable:
-            continue
-        # g_a (g_b g_c)
-        vbc = coeff[assign[bc]]
-        for m in range(k):
-            if vbc[m] != 0:
-                am = a * k + m
-                if am > t:
-                    checkable = False
-                    break
-                vm = coeff[assign[am]]
-                for q in range(k):
-                    rhs[q] += vbc[m] * vm[q]
-        if not checkable:
-            continue
-        for q in range(k):
-            if (lhs[q] - rhs[q]) % d[q] != 0:
-                return False
-    return True
+def structure_search(factors, coeff, allowed, deadline=None):
+    """All associative generator-product assignments for one additive group.
 
-
-@njit(cache=True)
-def _structure_dfs_nb(k, n, d, coeff, allowed, cand_off, cand_abc, node_cap):
+    `factors` are the generator orders, `coeff[x]` the coefficient vector of
+    element x, `allowed[cell, x]` a 0/1 mask of admissible products per cell.
+    Returns (assignments, status, nodes) with the rows in lexicographic
+    order.  `deadline` is a `time.monotonic()` value checked before every
+    slab of _BFS_CHUNK partial assignments, so a run overshoots it by at most
+    one slab; once it has passed the search stops with status -1 and no rows.
+    `nodes` counts the partial assignments built.
+    """
+    k = len(factors)
     kk = k * k
-    assign = np.zeros(kk, dtype=np.int64)
-    cur = np.full(kk, -1, dtype=np.int64)
-    lhs = np.zeros(k, dtype=np.int64)
-    rhs = np.zeros(k, dtype=np.int64)
-    cap = 1024
-    out = np.empty((cap, kk), dtype=np.int64)
-    out_n = 0
-    nodes = np.int64(0)
-    depth = 0
-    while depth >= 0:
-        v = cur[depth] + 1
-        while v < n and allowed[depth, v] == 0:
-            v += 1
-        if v >= n:
-            cur[depth] = -1
-            depth -= 1
-            continue
-        cur[depth] = v
-        assign[depth] = v
-        nodes += 1
-        if nodes > node_cap:
-            return out[:out_n], np.int64(-1), nodes
-        if _constraints_ok_nb(k, d, coeff, assign, depth, cand_off, cand_abc,
-                              lhs, rhs):
-            if depth == kk - 1:
-                if out_n == cap:
-                    cap *= 2
-                    grown = np.empty((cap, kk), dtype=np.int64)
-                    grown[:out_n] = out[:out_n]
-                    out = grown
-                out[out_n] = assign
-                out_n += 1
-            else:
-                depth += 1
-    return out[:out_n], np.int64(0), nodes
-
-
-def _structure_bfs_np(k, n, d, coeff, allowed, cand_off, cand_abc, node_cap):
-    kk = k * k
-    d_row = d.astype(np.int64)[None, :]
+    coeff = coeff.astype(np.int64)
+    d_row = np.asarray(factors, dtype=np.int64)[None, :]
+    cand_off, cand_abc = constraint_candidates(k)
     frontier = np.zeros((1, 0), dtype=np.int16)
     nodes = 0
     for t in range(kk):
@@ -311,14 +162,14 @@ def _structure_bfs_np(k, n, d, coeff, allowed, cand_off, cand_abc, node_cap):
         cands = cand_abc[cand_off[t]:cand_off[t + 1]]
         survivors = []
         for lo in range(0, frontier.shape[0], _BFS_CHUNK):
+            if deadline is not None and time.monotonic() >= deadline:
+                return np.zeros((0, kk), dtype=np.int64), -1, nodes
             part = frontier[lo:lo + _BFS_CHUNK]
             w, v = part.shape[0], vals.shape[0]
             ext = np.empty((w * v, t + 1), dtype=np.int16)
             ext[:, :t] = np.repeat(part, v, axis=0)
             ext[:, t] = np.tile(vals, w)
             nodes += ext.shape[0]
-            if nodes > node_cap:
-                return np.zeros((0, kk), dtype=np.int64), -1, nodes
             keep = np.ones(ext.shape[0], dtype=bool)
             for a, b, c in cands:
                 ab, bc = a * k + b, b * k + c
@@ -351,27 +202,3 @@ def _structure_bfs_np(k, n, d, coeff, allowed, cand_off, cand_abc, node_cap):
         if frontier.shape[0] == 0:
             return np.zeros((0, kk), dtype=np.int64), 0, nodes
     return frontier.astype(np.int64), 0, nodes
-
-
-def structure_search(factors, coeff, allowed, node_cap):
-    """All associative generator-product assignments for one additive group.
-
-    `factors` are the generator orders, `coeff[x]` the coefficient vector of
-    element x, `allowed[cell, x]` a 0/1 mask of admissible products per cell.
-    Returns (assignments, status, nodes); status -1 means the node budget ran
-    out before the space was covered.  Assignment rows come out in
-    lexicographic order under either backend.
-    """
-    k = len(factors)
-    n = coeff.shape[0]
-    d = np.asarray(factors, dtype=np.int64)
-    cand_off, cand_abc = constraint_candidates(k)
-    if active_backend() == "numba":
-        return _structure_dfs_nb(
-            k, n, d, coeff.astype(np.int64), allowed.astype(np.uint8),
-            cand_off, cand_abc, np.int64(node_cap),
-        )
-    return _structure_bfs_np(
-        k, n, d, coeff.astype(np.int64), allowed.astype(np.uint8),
-        cand_off, cand_abc, node_cap,
-    )

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from ringcent.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -63,6 +65,15 @@ def test_gallery_bad_param_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "NotPrime" in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-1"])
+def test_bad_time_budget_env_exit_code(capsys, monkeypatch, raw):
+    monkeypatch.setenv("RINGCENT_TIME_BUDGET_SECS", raw)
+    code = main(["enumerate", "--order", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "RINGCENT_TIME_BUDGET_SECS" in err and repr(raw) in err
 
 
 def test_enumerate_and_verify_catalog_dir(tmp_path, capsys):

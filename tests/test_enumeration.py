@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import re
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from ringcent import (
     validate,
 )
 from ringcent.enumeration import (
+    _partition_values,
     additive_basis,
     element_fingerprints,
     enumerate_mul_tables,
@@ -272,6 +275,31 @@ def test_enumeration_rejects_large_orders():
 def test_tiny_budget_aborts_with_partial_universe():
     with pytest.raises(PartialUniverse):
         enumerate_rings(16, budget_secs=0.000001)
+
+
+def test_budget_is_a_wall_clock_deadline(tmp_path):
+    start = time.monotonic()
+    with pytest.raises(PartialUniverse) as err:
+        enumerate_rings(16, budget_secs=0.5, out_dir=str(tmp_path))
+    assert time.monotonic() - start < 1.5
+    m = re.fullmatch(
+        r"time budget ran out on group \[([\d, ]+)\], partition g1\*g1=(\d+), "
+        r"after (\d+) search nodes; (\d+) of (\d+) partitions finished, "
+        r"([\d.]+) s ran against a 0.5 s budget",
+        str(err.value),
+    )
+    assert m, str(err.value)
+    group, g11, nodes, done, total, secs = m.groups()
+    sequence = [(f, v) for f in abelian_group_types(16)
+                for v in _partition_values(f)]
+    assert int(total) == len(sequence)
+    factors = tuple(int(x) for x in group.split(", "))
+    assert sequence[int(done)] == (factors, int(g11))
+    assert int(nodes) > 0
+    assert 0.5 <= float(secs) < 1.5
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert not manifest["complete"]
+    assert len(manifest["partitions"]) == int(done)
 
 
 def test_search_n_centralizer(catalog):

@@ -1,103 +1,201 @@
-"""Both kernel backends must agree bit-for-bit, including failure triples."""
+"""Kernels against naive oracles: pure-Python triple loops for the law
+checks (same code, same first failing triple) and brute-force expansion for
+the structure search (same rows, same order)."""
+
+import itertools
+import time
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringcent import kernels
-from ringcent.gallery import modular_ring, row_ring
+from ringcent.enumeration import _search_inputs
+from ringcent.gallery import (
+    four_element_matrix_ring,
+    modular_ring,
+    row_ring,
+    upper_triangular_ring,
+)
 from ringcent.groups import group_add_table
 
+# ---------------------------------------------------------------------------
+# naive law checks, scanning triples in lexicographic order
 
-def both(func, *args):
-    outs = []
-    for backend in ("numba", "numpy"):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("RINGCENT_BACKEND", backend)
-            outs.append(func(*args))
-    return outs
+
+def naive_add_check(A):
+    n = len(A)
+    for j in range(n):
+        if A[0][j] != j:
+            return kernels.BAD_IDENTITY, 0, j, -1
+    for i in range(n):
+        if A[i][0] != i:
+            return kernels.BAD_IDENTITY, i, 0, -1
+    for i in range(n):
+        for j in range(i + 1, n):
+            if A[i][j] != A[j][i]:
+                return kernels.NONCOMMUTATIVE_ADD, i, j, -1
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if A[A[i][j]][k] != A[i][A[j][k]]:
+            return kernels.NONASSOCIATIVE_ADD, i, j, k
+    for i in range(n):
+        if 0 not in A[i]:
+            return kernels.NO_INVERSE, i, -1, -1
+    return kernels.OK, -1, -1, -1
+
+
+def naive_mul_assoc(M):
+    n = len(M)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if M[M[i][j]][k] != M[i][M[j][k]]:
+            return kernels.NONASSOCIATIVE_MUL, i, j, k
+    return kernels.OK, -1, -1, -1
+
+
+def naive_distrib(A, M):
+    n = len(A)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if M[i][A[j][k]] != A[M[i][j]][M[i][k]]:
+            return kernels.NONDISTRIBUTIVE_LEFT, i, j, k
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if M[A[i][j]][k] != A[M[i][k]][M[j][k]]:
+            return kernels.NONDISTRIBUTIVE_RIGHT, i, j, k
+    return kernels.OK, -1, -1, -1
+
+
+BASES = [modular_ring(n) for n in range(2, 7)] + [
+    row_ring(2), four_element_matrix_ring(), upper_triangular_ring(2),
+]
+
+
+@st.composite
+def perturbed(draw, table):
+    """A small ring and a copy of its `table` ("add" or "mul") with up to
+    three cells overwritten, mirrored across the diagonal half the time so
+    that failures past the symmetry check are reached too."""
+    ring = draw(st.sampled_from(BASES))
+    n = ring.order
+    out = getattr(ring, table).copy()
+    mirror = draw(st.booleans())
+    cell = st.tuples(*[st.integers(0, n - 1)] * 3)
+    for i, j, v in draw(st.lists(cell, max_size=3)):
+        out[i, j] = v
+        if mirror:
+            out[j, i] = v
+    return ring, out
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed("add"))
+def test_add_check_matches_naive_triple_loop(case):
+    _, A = case
+    assert kernels.add_table_check(A) == naive_add_check(A.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed("mul"))
+def test_mul_assoc_check_matches_naive_triple_loop(case):
+    _, M = case
+    assert kernels.mul_assoc_check(M) == naive_mul_assoc(M.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed("mul"))
+def test_distrib_check_matches_naive_triple_loop(case):
+    ring, M = case
+    assert kernels.distrib_check(ring.add, M) == naive_distrib(
+        ring.add.tolist(), M.tolist()
+    )
 
 
 def test_add_check_accepts_group_tables():
     for factors in [(2,), (6,), (2, 4), (3, 3)]:
         A = group_add_table(factors)
-        nb, npy = both(kernels.add_table_check, A)
-        assert nb == npy == (kernels.OK, -1, -1, -1)
+        assert kernels.add_table_check(A) == (kernels.OK, -1, -1, -1)
 
 
 def test_add_check_identity_failure():
     A = group_add_table((4,)).copy()
     A[0, 2] = 3
-    nb, npy = both(kernels.add_table_check, A)
-    assert nb == npy
-    assert nb[0] == kernels.BAD_IDENTITY
+    assert kernels.add_table_check(A) == (kernels.BAD_IDENTITY, 0, 2, -1)
 
 
 def test_add_check_symmetry_failure_names_first_pair():
     A = group_add_table((5,)).copy()
     A[1, 3] = 0  # breaks symmetry (and more); symmetry is checked first
-    nb, npy = both(kernels.add_table_check, A)
-    assert nb == npy
-    assert nb[0] == kernels.NONCOMMUTATIVE_ADD
-    assert (nb[1], nb[2]) == (1, 3)
+    assert kernels.add_table_check(A) == (kernels.NONCOMMUTATIVE_ADD, 1, 3, -1)
 
 
 def test_add_check_associativity_failure():
     A = group_add_table((5,)).copy()
     A[1, 1] = 3  # diagonal change keeps symmetry and identity, breaks assoc
-    nb, npy = both(kernels.add_table_check, A)
-    assert nb == npy
-    assert nb[0] == kernels.NONASSOCIATIVE_ADD
-    assert (nb[1], nb[2], nb[3]) == (1, 1, 2)
+    assert kernels.add_table_check(A) == (kernels.NONASSOCIATIVE_ADD, 1, 1, 2)
 
 
 def test_mul_and_distrib_checks_agree_on_real_rings():
     for ring in [modular_ring(12), row_ring(3)]:
-        nb, npy = both(kernels.mul_assoc_check, ring.mul)
-        assert nb == npy == (kernels.OK, -1, -1, -1)
-        nb, npy = both(kernels.distrib_check, ring.add, ring.mul)
-        assert nb == npy == (kernels.OK, -1, -1, -1)
+        assert kernels.mul_assoc_check(ring.mul) == (kernels.OK, -1, -1, -1)
+        assert kernels.distrib_check(ring.add, ring.mul) == (
+            kernels.OK, -1, -1, -1)
 
 
 def test_mul_assoc_first_failure_triple_matches():
     M = modular_ring(6).mul.copy()
     M[2, 3] = 1
-    nb, npy = both(kernels.mul_assoc_check, M)
-    assert nb == npy
-    assert nb[0] == kernels.NONASSOCIATIVE_MUL
+    got = kernels.mul_assoc_check(M)
+    assert got[0] == kernels.NONASSOCIATIVE_MUL
+    assert got == naive_mul_assoc(M.tolist())
 
 
 def test_distrib_first_failure_triple_matches():
     ring = modular_ring(6)
     M = ring.mul.copy()
     M[2, 3] = 1
-    nb, npy = both(kernels.distrib_check, ring.add, M)
-    assert nb == npy
-    assert nb[0] in (kernels.NONDISTRIBUTIVE_LEFT, kernels.NONDISTRIBUTIVE_RIGHT)
+    got = kernels.distrib_check(ring.add, M)
+    assert got[0] in (kernels.NONDISTRIBUTIVE_LEFT, kernels.NONDISTRIBUTIVE_RIGHT)
+    assert got == naive_distrib(ring.add.tolist(), M.tolist())
 
 
-def test_structure_search_backends_identical():
-    from ringcent.enumeration import _search_inputs
+# ---------------------------------------------------------------------------
+# structure search
 
-    for factors in [(2,), (4,), (2, 2), (2, 4), (3, 3), (2, 2, 2)]:
+
+def brute_force_structures(factors):
+    """Every allowed assignment, in lexicographic order, whose generator
+    products satisfy (g_a g_b) g_c = g_a (g_b g_c) for all a, b, c."""
+    cv, allowed = _search_inputs(factors)
+    k = len(factors)
+    d = np.asarray(factors)
+    choices = [np.flatnonzero(allowed[t]).tolist() for t in range(k * k)]
+    rows = []
+    for assign in itertools.product(*choices):
+        C = cv[list(assign)].reshape(k, k, k)  # C[a, b] = coords of g_a g_b
+        left = np.einsum("abm,mcq->abcq", C, C)
+        right = np.einsum("bcm,amq->abcq", C, C)
+        if ((left - right) % d == 0).all():
+            rows.append(assign)
+    return np.array(rows, dtype=np.int64).reshape(-1, k * k)
+
+
+def test_structure_search_matches_brute_force():
+    for factors in [(2,), (4,), (2, 2), (2, 4), (3, 3)]:
         cv, allowed = _search_inputs(factors)
-        results = []
-        for backend in ("numba", "numpy"):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setenv("RINGCENT_BACKEND", backend)
-                arr, status, _ = kernels.structure_search(
-                    factors, cv, allowed, 1 << 62
-                )
-            assert status == 0
-            results.append(arr)
-        assert np.array_equal(results[0], results[1]), factors
+        rows, status, _ = kernels.structure_search(factors, cv, allowed)
+        assert status == 0
+        assert np.array_equal(rows, brute_force_structures(factors)), factors
 
 
-def test_structure_search_respects_node_cap():
-    from ringcent.enumeration import _search_inputs
-
+def test_structure_search_counts_on_z2_cubed():
     cv, allowed = _search_inputs((2, 2, 2))
-    for backend in ("numba", "numpy"):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("RINGCENT_BACKEND", backend)
-            _, status, nodes = kernels.structure_search((2, 2, 2), cv, allowed, 50)
-        assert status == -1
+    rows, status, nodes = kernels.structure_search(
+        (2, 2, 2), cv, allowed, deadline=time.monotonic() + 3600
+    )
+    assert (rows.shape, status, nodes) == ((1688, 9), 0, 259352)
+
+
+def test_structure_search_stops_at_past_deadline():
+    cv, allowed = _search_inputs((2, 2, 2))
+    rows, status, nodes = kernels.structure_search(
+        (2, 2, 2), cv, allowed, deadline=time.monotonic() - 1
+    )
+    assert (rows.shape, status, nodes) == ((0, 9), -1, 0)
