@@ -189,7 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "enumerate" and args.resume and not args.out:
+        parser.error("enumerate --resume needs --out DIR, the catalog to resume")
     try:
         return args.func(args)
     except RingError as exc:

@@ -24,7 +24,7 @@ from . import groups, kernels
 from .abelian import classify_additive
 from .centralizers import cent_set, commutativity_degree
 from .errors import PartialUniverse, RingError, TooLarge
-from .rings import FiniteRing, RingSpec, validate
+from .rings import FiniteRing, RingSpec, structure_tables, validate
 
 MAX_ENUM_ORDER = 16
 MAX_CANON_ORDER = 16
@@ -37,44 +37,31 @@ DEFAULT_TIME_BUDGET_SECS = 120.0
 # element fingerprints and additive bases
 
 
-def _ring_cache(R: FiniteRing) -> dict:
-    cache = getattr(R, "_cache", None)
-    if cache is None:
-        cache = {}
-        R._cache = cache
-    return cache
-
-
 def element_fingerprints(R: FiniteRing) -> list[tuple[int, int, int]]:
     """Per-element isomorphism invariant: additive order, centralizer size,
     additive order of the square."""
-    cache = _ring_cache(R)
-    if "fp" not in cache:
-        orders = R.additive_orders()
-        csize = (R.mul == R.mul.T).sum(axis=1)
-        squares = R.mul[np.arange(R.order), np.arange(R.order)]
-        cache["fp"] = [
-            (int(orders[x]), int(csize[x]), int(orders[squares[x]]))
-            for x in range(R.order)
-        ]
-    return cache["fp"]
+    orders = R.additive_orders()
+    csize = (R.mul == R.mul.T).sum(axis=1)
+    squares = R.mul[np.arange(R.order), np.arange(R.order)]
+    return [
+        (int(orders[x]), int(csize[x]), int(orders[squares[x]]))
+        for x in range(R.order)
+    ]
 
 
 def ring_fingerprint(R: FiniteRing) -> tuple:
-    """Cheap ring-level isomorphism invariant used to bucket candidates."""
-    cache = _ring_cache(R)
-    if "ring_fp" not in cache:
-        cs = cent_set(R)
-        cache["ring_fp"] = (
-            R.order,
-            classify_additive(R).invariant_factors,
-            bool(R.is_commutative),
-            len(cs),
-            tuple(sorted(len(c) for c in cs)),
-            commutativity_degree(R),
-            tuple(sorted(element_fingerprints(R))),
-        )
-    return cache["ring_fp"]
+    """Cheap ring-level isomorphism invariant; isomorphic() compares these
+    before it searches for a map."""
+    cs = cent_set(R)
+    return (
+        R.order,
+        classify_additive(R).invariant_factors,
+        bool(R.is_commutative),
+        len(cs),
+        tuple(sorted(len(c) for c in cs)),
+        commutativity_degree(R),
+        tuple(sorted(element_fingerprints(R))),
+    )
 
 
 def _cyclic_steps(R: FiniteRing, b: int) -> list[int]:
@@ -463,31 +450,25 @@ def raw_structures(factors: tuple[int, ...], g11: Optional[int] = None,
     return assignments
 
 
+def _constants(factors: tuple[int, ...], assignment: np.ndarray) -> np.ndarray:
+    """(k, k, k) structure constants of one generator-product assignment."""
+    k = len(factors)
+    cv = groups.coeff_vectors(factors)
+    return cv[np.asarray(assignment, dtype=np.int64)].reshape(k, k, k)
+
+
 def structure_to_ring(factors: tuple[int, ...], assignment: np.ndarray,
                       label: Optional[str] = None) -> FiniteRing:
     """Expand one generator-product assignment via the validating loader."""
-    k = len(factors)
-    cv = groups.coeff_vectors(factors)
-    constants = cv[np.asarray(assignment, dtype=np.int64)].reshape(k, k, k)
-    spec = RingSpec.structure(list(factors), constants.tolist(), label)
-    return validate(spec)
+    constants = _constants(factors, assignment)
+    return validate(RingSpec.structure(list(factors), constants.tolist(), label))
 
 
 def _expand_fast(factors: tuple[int, ...], assignment: np.ndarray,
                  label: str) -> FiniteRing:
     """Table expansion without the O(n^3) law check: the search already
     guarantees associativity, and bilinearity guarantees distributivity."""
-    if not factors:
-        z = np.zeros((1, 1), dtype=np.int64)
-        return FiniteRing(z, z, label)
-    cv = groups.coeff_vectors(factors)
-    k = len(factors)
-    d = np.array(factors, dtype=np.int64)
-    w = np.array(groups.radix_weights(factors), dtype=np.int64)
-    C = cv[np.asarray(assignment, dtype=np.int64)].reshape(k, k, k)
-    add = groups.group_add_table(factors)
-    prod_vec = np.einsum("xi,yj,ijm->xym", cv, cv, C) % d
-    mul = (prod_vec * w).sum(axis=2)
+    add, mul = structure_tables(factors, _constants(factors, assignment))
     return FiniteRing(add, mul, label)
 
 
@@ -536,17 +517,23 @@ def enumerate_rings(n: int, up_to_iso: bool = True,
                     budget_secs: Optional[float] = None) -> IsoClassCatalog:
     """Catalog of all rings of order n, optionally deduped by isomorphism.
 
+    Dedup keys each raw structure, in search order, on its canonical_form;
+    the first of each class becomes representative o{n}_c{k:03d}, stored in
+    canonical tables.  isomorphic stays out of it, as the independent check.
+
     The search is bounded by a wall-clock deadline budget_secs from the start
     (default time_budget_secs()); a search still running at the deadline
     raises PartialUniverse, saying how far the run got, instead of returning
     a silently truncated catalog.  With out_dir set, per-partition results
-    and a manifest are written as the run goes; resume=True skips partitions
-    the manifest already records as done.
+    and a manifest are written as the run goes; resume=True reuses the part
+    files the manifest records as done, if they match it (see _load_part).
     """
     if n > MAX_ENUM_ORDER:
         raise TooLarge(f"exhaustive enumeration is capped at order {MAX_ENUM_ORDER}")
     if n < 1:
         raise TooLarge("order must be >= 1")
+    if resume and not out_dir:
+        raise RingError("resume needs out_dir, the catalog to resume from")
     budget = budget_secs if budget_secs is not None else time_budget_secs()
     start = time.monotonic()
     deadline = start + budget
@@ -573,9 +560,8 @@ def enumerate_rings(n: int, up_to_iso: bool = True,
         total = 0
         for v in values:
             part_name = f"t{'x'.join(map(str, factors))}_g{v:02d}.json"
-            if _manifest_has(manifest, factors, v):
-                assignments = _load_part(out_path, part_name)
-            else:
+            assignments = _load_part(out_path, part_name, manifest, factors, v)
+            if assignments is None:
                 try:
                     assignments = raw_structures(factors, g11=v, deadline=deadline)
                 except PartialUniverse as exc:
@@ -608,20 +594,12 @@ def enumerate_rings(n: int, up_to_iso: bool = True,
         _flush_manifest(out_path, n, partition_log, complete=True, catalog=catalog)
         return catalog
 
-    reps: list[FiniteRing] = []
-    buckets: dict[tuple, list[int]] = {}
+    classes: dict[bytes, FiniteRing] = {}
     for factors, row in raw_rings:
-        ring = _expand_fast(factors, row, f"o{n}_candidate")
-        fp = ring_fingerprint(ring)
-        if not any(isomorphic(reps[idx], ring) for idx in buckets.get(fp, ())):
-            ring.label = f"o{n}_c{len(reps):03d}"
-            buckets.setdefault(fp, []).append(len(reps))
-            reps.append(ring)
-    canon = []
-    for r in reps:
-        c = canonical_form(r)
-        canon.append(FiniteRing(c.add, c.mul, r.label))
-    reps = canon
+        label = f"o{n}_c{len(classes):03d}"
+        c = canonical_form(_expand_fast(factors, row, label))
+        classes.setdefault(c.add.tobytes() + c.mul.tobytes(), c)
+    reps = list(classes.values())
     for r in reps:
         validate(r)
     catalog = IsoClassCatalog(n, reps, raw_count, len(reps), per_type_raw, True)
@@ -633,27 +611,21 @@ def enumerate_rings(n: int, up_to_iso: bool = True,
 # catalog persistence
 
 
-def _read_manifest(out_path: Optional[Path], n: int) -> Optional[dict]:
-    if out_path is None:
-        return None
-    path = out_path / "manifest.json"
-    if not path.exists():
-        return None
-    with open(path) as fh:
-        doc = json.load(fh)
-    return doc if doc.get("order") == n else None
+def _write_atomic(path: Path, text: str) -> None:
+    """Write via a temporary file in the same directory, so an interrupted
+    run leaves either the old file or the new one, never a torn one."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
 
 
-def _manifest_has(manifest, factors, v) -> bool:
-    if not manifest:
-        return False
-    for entry in manifest.get("partitions", []):
-        if (tuple(entry.get("factors", ())) == factors
-                and entry.get("g11") == v
-                and entry.get("status") == "done"
-                and entry.get("file")):
-            return True
-    return False
+def _read_manifest(out_path: Path, n: int) -> Optional[dict]:
+    """The order-n manifest at out_path, or None if absent or unreadable."""
+    try:
+        doc = json.loads((out_path / "manifest.json").read_text())
+    except (OSError, ValueError):
+        return None
+    return doc if isinstance(doc, dict) and doc.get("order") == n else None
 
 
 def _save_part(out_path, name, factors, v, assignments) -> None:
@@ -662,16 +634,27 @@ def _save_part(out_path, name, factors, v, assignments) -> None:
         "g11": v,
         "assignments": assignments.tolist(),
     }
-    with open(out_path / "parts" / name, "w") as fh:
-        json.dump(doc, fh)
+    _write_atomic(out_path / "parts" / name, json.dumps(doc))
 
 
-def _load_part(out_path, name) -> np.ndarray:
-    with open(out_path / "parts" / name) as fh:
-        doc = json.load(fh)
-    k2 = len(doc["factors"]) ** 2
-    arr = np.asarray(doc["assignments"], dtype=np.int64)
-    return arr.reshape(-1, k2)
+def _load_part(out_path, name, manifest, factors, v) -> Optional[np.ndarray]:
+    """Rows of partition (factors, g1*g1 = v) if the manifest records it as
+    done and its part file parses and matches that entry on group, g1*g1
+    and row count; otherwise None, and the partition is searched again."""
+    done = [e for e in (manifest or {}).get("partitions", [])
+            if tuple(e.get("factors", ())) == factors and e.get("g11") == v
+            and e.get("status") == "done" and e.get("file")]
+    if not done:
+        return None
+    try:
+        doc = json.loads((out_path / "parts" / name).read_text())
+        rows = np.asarray(doc["assignments"], dtype=np.int64)
+        rows = rows.reshape(-1, len(factors) ** 2)
+        ok = (tuple(doc["factors"]) == factors and doc["g11"] == v
+              and rows.shape[0] == done[0].get("raw_count"))
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return rows if ok else None
 
 
 def _flush_manifest(out_path, n, partition_log, complete, catalog=None) -> None:
@@ -695,9 +678,8 @@ def _flush_manifest(out_path, n, partition_log, complete, catalog=None) -> None:
             ring.spec().save(out_path / rel)
             files.append(rel)
         doc["rings"] = files
-    with open(out_path / "manifest.json", "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_atomic(out_path / "manifest.json",
+                  json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def read_catalog(path) -> IsoClassCatalog:

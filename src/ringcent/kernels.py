@@ -125,7 +125,7 @@ def constraint_candidates(k):
     (b,c) == t.
     """
     offs = np.zeros(k * k + 1, dtype=np.int64)
-    buckets = []
+    per_cell = []
     for t in range(k * k):
         i, j = divmod(t, k)
         lst = []
@@ -134,9 +134,9 @@ def constraint_candidates(k):
                 for c in range(k):
                     if a == i or c == j or a * k + b == t or b * k + c == t:
                         lst.append((a, b, c))
-        buckets.append(np.array(lst, dtype=np.int64))
+        per_cell.append(np.array(lst, dtype=np.int64))
         offs[t + 1] = offs[t] + len(lst)
-    return offs, np.concatenate(buckets)
+    return offs, np.concatenate(per_cell)
 
 
 def structure_search(factors, coeff, allowed, deadline=None):

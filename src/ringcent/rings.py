@@ -188,21 +188,12 @@ class RingSpec:
             fh.write("\n")
 
 
-def _expand_structure(spec: RingSpec) -> tuple[np.ndarray, np.ndarray]:
-    factors = tuple(int(d) for d in spec.group)
-    if any(d < 2 for d in factors):
-        raise ValidationError("generator orders must all be >= 2")
-    k = len(factors)
-    n = math.prod(factors) if k else 1
-    if n > MAX_ORDER:
-        raise TooLarge(f"structure-constant group has order {n} > {MAX_ORDER}")
-    C = np.asarray(spec.mul_constants, dtype=np.int64)
-    if C.shape != (k, k, k):
-        raise ValidationError(
-            f"mul_constants must be {k}x{k} coefficient vectors of length {k}"
-        )
+def structure_tables(factors: tuple[int, ...],
+                     constants) -> tuple[np.ndarray, np.ndarray]:
+    """Addition and multiplication tables of Z_{d1} x ... x Z_{dk} with
+    generator products g_i g_j = sum_m constants[i][j][m] g_m."""
     d = np.array(factors, dtype=np.int64)
-    C = C % d  # reduce each coefficient mod its generator order
+    C = np.asarray(constants, dtype=np.int64) % d  # coefficient m mod d_m
     add = groups.group_add_table(factors)
     cv = groups.coeff_vectors(factors)
     w = np.array(groups.radix_weights(factors), dtype=np.int64)
@@ -210,6 +201,22 @@ def _expand_structure(spec: RingSpec) -> tuple[np.ndarray, np.ndarray]:
     prod_vec = np.einsum("xi,yj,ijm->xym", cv, cv, C) % d
     mul = (prod_vec * w).sum(axis=2)
     return add, mul
+
+
+def _expand_structure(spec: RingSpec) -> tuple[np.ndarray, np.ndarray]:
+    factors = tuple(int(d) for d in spec.group)
+    if any(d < 2 for d in factors):
+        raise ValidationError("generator orders must all be >= 2")
+    k = len(factors)
+    n = math.prod(factors)
+    if n > MAX_ORDER:
+        raise TooLarge(f"structure-constant group has order {n} > {MAX_ORDER}")
+    C = np.asarray(spec.mul_constants, dtype=np.int64)
+    if C.shape != (k, k, k):
+        raise ValidationError(
+            f"mul_constants must be {k}x{k} coefficient vectors of length {k}"
+        )
+    return structure_tables(factors, C)
 
 
 def validate(spec) -> FiniteRing:

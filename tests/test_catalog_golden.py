@@ -1,0 +1,35 @@
+"""Byte-for-byte golden of the iso-class catalogs of orders 1..13.
+
+For each order the golden records the class count and the sha256 of the
+representatives' specs (label, canonical add and mul tables) serialized as
+one JSON list.  Regenerate with:
+
+    PYTHONPATH=src python tests/test_catalog_golden.py
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from ringcent.enumeration import cached_catalog
+
+GOLDEN = Path(__file__).parent / "golden" / "catalog_1_13.json"
+ORDERS = range(1, 14)
+
+
+def catalog_digest(n: int) -> dict:
+    reps = cached_catalog(n).representatives
+    blob = json.dumps([r.spec().to_json() for r in reps], sort_keys=True)
+    return {"classes": len(reps),
+            "sha256": hashlib.sha256(blob.encode()).hexdigest()}
+
+
+def test_catalog_matches_golden():
+    expected = json.loads(GOLDEN.read_text())
+    assert {str(n): catalog_digest(n) for n in ORDERS} == expected
+
+
+if __name__ == "__main__":
+    doc = {str(n): catalog_digest(n) for n in ORDERS}
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")

@@ -98,6 +98,15 @@ def test_enumerate_resume(tmp_path, capsys):
     assert "4 isomorphism classes" in out
 
 
+def test_enumerate_resume_without_out_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--order", "4", "--up-to-iso", "--resume"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--resume needs --out" in captured.err
+    assert captured.out == ""
+
+
 def test_search_empty_and_nonempty(capsys):
     code, out = run_cli(capsys, "search", "--cent", "2", "--max-order", "8")
     assert code == 0

@@ -11,6 +11,7 @@ import pytest
 from ringcent import (
     FiniteRing,
     PartialUniverse,
+    RingError,
     TooLarge,
     canonical_form,
     cent_set,
@@ -248,9 +249,23 @@ def test_invariants_equal_on_isomorphic_pairs(catalog):
 
 def test_catalog_representatives_pairwise_non_isomorphic(catalog):
     reps = catalog(8).representatives
-    for i in range(0, len(reps), 7):  # sampled pairs; full check is O(52^2)
-        for j in range(i + 1, len(reps), 7):
-            assert not isomorphic(reps[i], reps[j])
+    pairs = list(itertools.combinations(reps, 2))
+    assert len(pairs) == 1326
+    for a, b in pairs:
+        assert not isomorphic(a, b), (a.label, b.label)
+
+
+def test_every_raw_order_8_structure_is_isomorphic_to_its_class(catalog):
+    # second route for the canonical-form dedup: the representative whose
+    # tables equal a raw structure's canonical form must be isomorphic to it
+    by_form = {R.add.tobytes() + R.mul.tobytes(): R
+               for R in catalog(8).representatives}
+    raw = enumerate_rings(8, up_to_iso=False).representatives
+    assert len(raw) == 1756
+    for ring in raw:
+        c = canonical_form(ring)
+        rep = by_form[c.add.tobytes() + c.mul.tobytes()]
+        assert isomorphic(rep, ring), (ring.label, rep.label)
 
 
 def test_catalog_covers_every_raw_structure(catalog):
@@ -339,6 +354,42 @@ def test_catalog_write_read_resume(tmp_path, catalog):
         doc = json.load(fh)
     assert doc["complete"] is True
     assert doc["classes"] == 4
+
+
+def _largest_part(out):
+    """Path of the part with the most rows in the catalog at out."""
+    doc = json.loads((out / "manifest.json").read_text())
+    entry = max(doc["partitions"], key=lambda e: e["raw_count"])
+    assert entry["raw_count"] > 1
+    return out / entry["file"]
+
+
+@pytest.mark.parametrize("damage", ["shortened", "truncated", "manifest"])
+def test_resume_searches_damaged_parts_again(tmp_path, damage):
+    out = tmp_path / "cat9"
+    fresh = enumerate_rings(9, out_dir=str(out))
+    part = _largest_part(out)
+    whole = part.read_text()
+    if damage == "shortened":  # valid JSON, but fewer rows than the manifest
+        doc = json.loads(whole)
+        doc["assignments"] = doc["assignments"][:1]
+        part.write_text(json.dumps(doc))
+    elif damage == "truncated":  # cut mid-file, as a crash mid-write leaves it
+        part.write_text(whole[: len(whole) // 2])
+    else:  # an unreadable manifest: every partition is searched again
+        manifest = out / "manifest.json"
+        manifest.write_text(manifest.read_text()[:100])
+    again = enumerate_rings(9, out_dir=str(out), resume=True)
+    assert again.raw_count == fresh.raw_count == 130
+    assert again.class_count == fresh.class_count == 11
+    assert part.read_text() == whole  # the partition was searched again
+    for a, b in zip(fresh.representatives, again.representatives):
+        assert np.array_equal(a.mul, b.mul)
+
+
+def test_resume_without_out_dir_is_an_error():
+    with pytest.raises(RingError):
+        enumerate_rings(4, resume=True)
 
 
 def test_enumerate_not_deduped_keeps_raw():
