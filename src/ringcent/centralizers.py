@@ -5,7 +5,6 @@ indicator of C(r), the center is the all-true rows, and the distinct rows are
 exactly the distinct centralizers.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -52,19 +51,61 @@ def commutativity_degree(R: FiniteRing) -> Fraction:
     return Fraction(commuting_pairs, R.order**2)
 
 
-@dataclass(frozen=True)
-class CentReport:
-    """Everything the package knows about one ring's centralizer structure."""
+class _per_ring:
+    """A CentReport field computed on first read and kept in the ring's
+    `analysis` (not on the report, which would make a ring-report cycle)."""
 
-    ring_label: str
-    order: int
-    is_commutative: bool
-    center: ElementSet
-    centralizers: tuple[ElementSet, ...]
-    cent_count: int
-    degree: Fraction
-    quotient_type: AbelianGroupType
-    additive_type: AbelianGroupType
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return self
+        values = report.ring.analysis
+        if self.name not in values:
+            values[self.name] = self.compute(report)
+        return values[self.name]
+
+
+class CentReport:
+    """Everything the package knows about one ring's centralizer structure.
+
+    The report keeps its ring, label, order and commutativity, and computes
+    every other field on first access, once per ring, so a field nobody
+    reads is never computed.  A field that fails on a bad table raises for
+    every reader of it, not when the report is made.
+    """
+
+    def __init__(self, ring: FiniteRing):
+        self.ring = ring
+        self.ring_label = ring.label
+        self.order = ring.order
+        self.is_commutative = ring.is_commutative
+
+    @_per_ring
+    def center(self) -> ElementSet:
+        return center(self.ring)
+
+    @_per_ring
+    def centralizers(self) -> tuple[ElementSet, ...]:
+        return tuple(cent_set(self.ring))
+
+    @property
+    def cent_count(self) -> int:
+        return len(self.centralizers)
+
+    @_per_ring
+    def degree(self) -> Fraction:
+        return commutativity_degree(self.ring)
+
+    @_per_ring
+    def quotient_type(self) -> AbelianGroupType:
+        return quotient_type(self.ring, self.center)
+
+    @_per_ring
+    def additive_type(self) -> AbelianGroupType:
+        return classify_additive(self.ring)
 
     def to_json(self) -> dict:
         return {
@@ -81,17 +122,6 @@ class CentReport:
 
 
 def analyze(R: FiniteRing) -> CentReport:
-    """Full per-ring summary; deterministic for a given ring."""
-    cs = cent_set(R)
-    z = center(R)
-    return CentReport(
-        ring_label=R.label,
-        order=R.order,
-        is_commutative=R.is_commutative,
-        center=z,
-        centralizers=tuple(cs),
-        cent_count=len(cs),
-        degree=commutativity_degree(R),
-        quotient_type=quotient_type(R, z),
-        additive_type=classify_additive(R),
-    )
+    """Lazy report of R; all reports of one ring object share its fields, so
+    each is computed at most once per ring."""
+    return CentReport(R)

@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Verbs: inspect, gallery, enumerate, search, verify, product.  Exit code is 0
-exactly when no violations or errors occurred, and 2 on a RingError.
+exactly when no violations or errors occurred, 1 on violations or when the
+reader of the output closed it early, and 2 on a RingError.
 RINGCENT_TIME_BUDGET_SECS is the wall-clock deadline for enumeration.
 """
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -15,7 +17,7 @@ from .centralizers import analyze
 from .enumeration import enumerate_rings, search_n_centralizer
 from .errors import RingError
 from .rings import FiniteRing, load_ring
-from .suites import SUITES, load_universe, run_suite
+from .suites import SUITES, load_universe, run_all
 
 
 def _resolve_ring(token: str, param=None) -> FiniteRing:
@@ -95,8 +97,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_verify(args) -> int:
     rings, name = load_universe(args.universe, max_order=args.max_order)
-    suite_ids = sorted(SUITES) if args.suite == "all" else [args.suite]
-    results = [run_suite(sid, rings, name) for sid in suite_ids]
+    results = run_all(rings, name, None if args.suite == "all" else [args.suite])
     bad = 0
     docs = []
     for res in results:
@@ -194,10 +195,17 @@ def main(argv=None) -> int:
     if args.command == "enumerate" and args.resume and not args.out:
         parser.error("enumerate --resume needs --out DIR, the catalog to resume")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except RingError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed early.  Point stdout at devnull so that the
+        # interpreter's last flush does not fail again on exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -24,7 +24,14 @@ from . import groups, kernels
 from .abelian import classify_additive
 from .centralizers import cent_set, commutativity_degree
 from .errors import PartialUniverse, RingError, TooLarge
-from .rings import FiniteRing, RingSpec, structure_tables, validate
+from .rings import (
+    FiniteRing,
+    RingSpec,
+    _cyclic_steps,
+    join,
+    structure_tables,
+    validate,
+)
 
 MAX_ENUM_ORDER = 16
 MAX_CANON_ORDER = 16
@@ -64,16 +71,6 @@ def ring_fingerprint(R: FiniteRing) -> tuple:
     )
 
 
-def _cyclic_steps(R: FiniteRing, b: int) -> list[int]:
-    """[0, b, 2b, ...] until the cycle closes."""
-    out = [0]
-    x = b
-    while x != 0:
-        out.append(x)
-        x = int(R.add[x, b])
-    return out
-
-
 def additive_basis(R: FiniteRing) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Elements (b1..bk) with ord(bi) = di (the ascending invariant factors)
     whose cyclic subgroups sum directly to all of (R, +).
@@ -89,12 +86,6 @@ def additive_basis(R: FiniteRing) -> tuple[tuple[int, ...], tuple[int, ...]]:
     basis: list[int] = []
     spans: list[set[int]] = [{0}]
 
-    def extend(span: set[int], b: int) -> set[int]:
-        out = set(span)
-        for m in _cyclic_steps(R, b)[1:]:
-            out.update(int(R.add[s, m]) for s in span)
-        return out
-
     def rec(i: int) -> bool:
         if i == len(desc):
             return True
@@ -102,7 +93,7 @@ def additive_basis(R: FiniteRing) -> tuple[tuple[int, ...], tuple[int, ...]]:
         for b in range(1, R.order):
             if orders[b] != desc[i] or b in spans[-1]:
                 continue
-            bigger = extend(spans[-1], b)
+            bigger = join(R, spans[-1], b)
             if len(bigger) == target:
                 basis.append(b)
                 spans.append(bigger)
@@ -362,9 +353,7 @@ def _min_group_automorphisms(factors: tuple[int, ...]) -> np.ndarray:
         for b in range(1, n):
             if orders[b] != factors[i] or b in spans[-1]:
                 continue
-            bigger = set(spans[-1])
-            for m in _cyclic_steps(G, b)[1:]:
-                bigger.update(int(G.add[s, m]) for s in spans[-1])
+            bigger = join(G, spans[-1], b)
             if len(bigger) != len(spans[-1]) * factors[i]:
                 continue
             basis.append(b)

@@ -69,6 +69,7 @@ class FiniteRing:
         self.add = add
         self.mul = mul
         self.label = label or f"ring{add.shape[0]}"
+        self.analysis: dict = {}  # CentReport fields, computed once per ring
 
     @property
     def order(self) -> int:
@@ -338,39 +339,62 @@ def is_subring(R: FiniteRing, S: ElementSet) -> bool:
     return bool(np.isin(R.mul[np.ix_(m, m)], m).all())
 
 
+def _cyclic_steps(R: FiniteRing, b: int) -> list[int]:
+    """[0, b, 2b, ...] until the cycle closes."""
+    out = [0]
+    x = b
+    while x != 0:
+        out.append(x)
+        x = int(R.add[x, b])
+    return out
+
+
+def join(R: FiniteRing, span: set[int], x: int) -> set[int]:
+    """S + <x> for an additive subgroup S: the union of the cosets S + m*x."""
+    out = set(span)
+    for m in _cyclic_steps(R, x)[1:]:
+        out.update(int(R.add[s, m]) for s in span)
+    return out
+
+
 def additive_closure(R: FiniteRing, seed: Iterable[int]) -> ElementSet:
     """Smallest additive subgroup containing the seed elements."""
-    cur = set(int(x) for x in seed) | {0}
-    while True:
-        m = np.array(sorted(cur))
-        new = set(np.unique(R.add[np.ix_(m, m)]).tolist())
-        if new <= cur:
-            return ElementSet.of(cur, R.order)
-        cur |= new
+    span = {0}
+    for x in seed:
+        span = join(R, span, int(x))
+    return ElementSet.of(span, R.order)
 
 
-def additive_subgroups(R: FiniteRing, cap: int = 100_000) -> list[ElementSet]:
-    """All additive subgroups, smallest first (then lexicographic)."""
-    trivial = ElementSet.of([0], R.order)
-    seen = {trivial.members: trivial}
-    frontier = [trivial]
+MAX_SUBGROUPS = 100_000
+
+
+def additive_subgroups(R: FiniteRing) -> list[ElementSet]:
+    """All additive subgroups, smallest first (then lexicographic).
+
+    Built breadth-first from {0}: each subgroup S is extended to S + <x> for
+    one x per coset x + S, since every element of a coset gives the same
+    S + <x>.  More than MAX_SUBGROUPS subgroups is TooLarge.
+    """
+    seen = {frozenset([0])}
+    frontier = list(seen)
     while frontier:
         nxt = []
         for S in frontier:
-            inside = set(S.members)
+            covered = set(S)
             for x in range(1, R.order):
-                if x in inside:
+                if x in covered:
                     continue
-                T = additive_closure(R, S.members + (x,))
-                if T.members not in seen:
-                    if len(seen) >= cap:
-                        raise TooLarge(
-                            f"more than {cap} additive subgroups in {R.label}"
-                        )
-                    seen[T.members] = T
+                covered.update(int(R.add[x, s]) for s in S)
+                T = frozenset(join(R, S, x))
+                if T not in seen:
+                    if len(seen) >= MAX_SUBGROUPS:
+                        raise TooLarge(f"more than {MAX_SUBGROUPS} additive "
+                                       f"subgroups in {R.label}")
+                    seen.add(T)
                     nxt.append(T)
         frontier = nxt
-    return sorted(seen.values(), key=lambda s: (len(s), s.members))
+    return sorted((ElementSet.of(S, R.order) for S in seen),
+                  key=lambda s: (len(s), s.members))
 
 
 def subrings(R: FiniteRing) -> list[ElementSet]:

@@ -3,9 +3,12 @@
 Each suite checks one proved statement about centralizer structure across
 every ring in the universe.  A violation therefore indicates an artifact
 bug, not a counterexample; the offending ring's spec is kept on the result
-so the CLI can dump it for triage.
+so the CLI can dump it for triage.  Every suite reads the same lazy
+CentReport of each ring, so Cent(R), Z(R), d(R) and R/Z(R) are computed at
+most once per ring however many suites run.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -15,8 +18,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import gallery
-from .abelian import quotient_type
-from .centralizers import cent_set, center, commutativity_degree
+from .centralizers import CentReport, analyze, cent_set
 from .enumeration import cached_catalog, read_catalog
 from .errors import EmptyUniverse, UnknownSuite, ValidationError
 from .groups import is_prime, prime_factorization, smallest_prime_divisor
@@ -61,51 +63,15 @@ class SuiteResult:
         }
 
 
-def _report(violations: list[Violation], ring: FiniteRing,
+def _report(violations: list[Violation], rep: CentReport,
             expected: str, observed: str) -> None:
     violations.append(
-        Violation(ring.label, expected, observed, ring.spec().to_json())
+        Violation(rep.ring_label, expected, observed, rep.ring.spec().to_json())
     )
 
 
-def _proper_centralizers(R: FiniteRing) -> list[ElementSet]:
-    return [c for c in cent_set(R) if len(c) < R.order]
-
-
-# --- suite bodies; each takes (rings, violations) -------------------------
-
-
-def _suite_t1_no_2_3(rings, v):
-    checked = 0
-    for R in rings:
-        checked += 1
-        cc = len(cent_set(R))
-        if cc in (2, 3):
-            _report(v, R, "|Cent(R)| not in {2, 3}", f"|Cent(R)| = {cc}")
-    return checked
-
-
-def _suite_p2_product(rings, v):
-    # deterministic sample: ordered pairs with small product order
-    pool = [R for R in rings if R.order <= 36]
-    pairs = [(a, b) for a in pool for b in pool if a.order * b.order <= 36]
-    pairs = pairs[:60]
-    checked = 0
-    for A, B in pairs:
-        checked += 1
-        P = gallery.direct_product(A, B)
-        ca, cb, cp = cent_set(A), cent_set(B), cent_set(P)
-        if len(cp) != len(ca) * len(cb):
-            _report(v, P, f"|Cent| = {len(ca)}*{len(cb)}", str(len(cp)))
-            continue
-        expected = {
-            tuple(sorted(x * B.order + y for x in Sa for y in Sb))
-            for Sa in ca for Sb in cb
-        }
-        got = {c.members for c in cp}
-        if expected != got:
-            _report(v, P, "Cent(RxS) = Cent(R) x Cent(S)", "set mismatch")
-    return checked
+def _proper_centralizers(rep: CentReport) -> list[ElementSet]:
+    return [c for c in rep.centralizers if len(c) < rep.order]
 
 
 def _is_prime_power(n: int) -> Optional[int]:
@@ -115,141 +81,152 @@ def _is_prime_power(n: int) -> Optional[int]:
     return None
 
 
-def _suite_t_p2(rings, v):
-    checked = 0
-    for R in rings:
-        p = _is_prime_power(R.order)
-        if p is None or R.order != p * p or R.is_commutative:
+def _noncommutative_p_ring(rep: CentReport, exponent: Optional[int] = None) -> bool:
+    """R is noncommutative of order p^k for a prime p (and k = exponent)."""
+    p = _is_prime_power(rep.order)
+    return (p is not None and not rep.is_commutative
+            and (exponent is None or rep.order == p**exponent))
+
+
+def _each_ring(scope: Callable[[CentReport], bool] = lambda rep: True):
+    """Suite body (reports, violations) -> checked from a per-ring check.
+
+    The check runs on every report in scope and yields (expected, observed)
+    for each violation; the body counts the rings in scope.
+    """
+    def wrap(check):
+        @functools.wraps(check)
+        def body(reports, violations):
+            checked = 0
+            for rep in reports:
+                if scope(rep):
+                    checked += 1
+                    for expected, observed in check(rep):
+                        _report(violations, rep, expected, observed)
+            return checked
+
+        return body
+
+    return wrap
+
+
+# --- suite bodies: (reports, violations) -> number of rings checked -------
+
+
+@_each_ring()
+def _suite_t1_no_2_3(rep):
+    if rep.cent_count in (2, 3):
+        yield "|Cent(R)| not in {2, 3}", f"|Cent(R)| = {rep.cent_count}"
+
+
+def _suite_p2_product(reports, v):
+    # deterministic sample: ordered pairs with small product order
+    pool = [rep for rep in reports if rep.order <= 36]
+    pairs = [(a, b) for a in pool for b in pool if a.order * b.order <= 36]
+    pairs = pairs[:60]
+    for A, B in pairs:
+        P = gallery.direct_product(A.ring, B.ring)
+        ca, cb, cp = A.centralizers, B.centralizers, cent_set(P)
+        if len(cp) != len(ca) * len(cb):
+            _report(v, analyze(P), f"|Cent| = {len(ca)}*{len(cb)}", str(len(cp)))
             continue
-        checked += 1
-        cc = len(cent_set(R))
-        z = center(R)
-        if cc != p + 2:
-            _report(v, R, f"|Cent(R)| = {p + 2}", str(cc))
-        if z.members != (0,):
-            _report(v, R, "Z(R) = {0}", str(z.members))
-    return checked
+        expected = {
+            tuple(sorted(x * B.order + y for x in Sa for y in Sb))
+            for Sa in ca for Sb in cb
+        }
+        got = {c.members for c in cp}
+        if expected != got:
+            _report(v, analyze(P), "Cent(RxS) = Cent(R) x Cent(S)", "set mismatch")
+    return len(pairs)
 
 
-def _suite_t_p3_unital(rings, v):
-    checked = 0
-    for R in rings:
-        p = _is_prime_power(R.order)
-        if p is None or R.order != p**3 or R.is_commutative:
-            continue
-        if not R.has_unity():
-            continue
-        checked += 1
-        cc = len(cent_set(R))
-        if cc != p + 2:
-            _report(v, R, f"|Cent(R)| = {p + 2}", str(cc))
-    return checked
+@_each_ring(lambda rep: _noncommutative_p_ring(rep, 2))
+def _suite_t_p2(rep):
+    p = _is_prime_power(rep.order)
+    if rep.cent_count != p + 2:
+        yield f"|Cent(R)| = {p + 2}", str(rep.cent_count)
+    if rep.center.members != (0,):
+        yield "Z(R) = {0}", str(rep.center.members)
 
 
-def _suite_t_dc(rings, v):
-    checked = 0
-    for R in rings:
-        checked += 1
-        qt = quotient_type(R, center(R)).invariant_factors
-        if len(qt) == 2 and qt[0] == qt[1] and is_prime(qt[0]):
-            p = qt[0]
-            cc = len(cent_set(R))
-            if cc != p + 2:
-                _report(v, R, f"R/Z = [p,p] implies |Cent(R)| = {p + 2}", str(cc))
-    return checked
+@_each_ring(lambda rep: _noncommutative_p_ring(rep, 3) and rep.ring.has_unity())
+def _suite_t_p3_unital(rep):
+    p = _is_prime_power(rep.order)
+    if rep.cent_count != p + 2:
+        yield f"|Cent(R)| = {p + 2}", str(rep.cent_count)
 
 
-def _suite_t_pring(rings, v):
-    checked = 0
-    for R in rings:
-        p = _is_prime_power(R.order)
-        if p is None or R.is_commutative:
-            continue
-        checked += 1
-        cc = len(cent_set(R))
-        qt = quotient_type(R, center(R)).invariant_factors
-        if cc < p + 2:
-            _report(v, R, f"|Cent(R)| >= {p + 2}", str(cc))
-        if (cc == p + 2) != (qt == (p, p)):
-            _report(
-                v, R,
-                f"|Cent(R)| = {p + 2} iff R/Z = Z_{p} x Z_{p}",
-                f"|Cent(R)| = {cc}, R/Z = {list(qt)}",
-            )
-    return checked
+@_each_ring()
+def _suite_t_dc(rep):
+    qt = rep.quotient_type.invariant_factors
+    if len(qt) == 2 and qt[0] == qt[1] and is_prime(qt[0]):
+        p = qt[0]
+        if rep.cent_count != p + 2:
+            yield (f"R/Z = [p,p] implies |Cent(R)| = {p + 2}",
+                   str(rep.cent_count))
 
 
-def _suite_t_4c(rings, v):
-    checked = 0
-    for R in rings:
-        checked += 1
-        cc = len(cent_set(R))
-        qt = quotient_type(R, center(R)).invariant_factors
-        if (cc == 4) != (qt == (2, 2)):
-            _report(v, R, "|Cent(R)| = 4 iff R/Z = Z_2 x Z_2",
-                    f"|Cent(R)| = {cc}, R/Z = {list(qt)}")
-    return checked
+@_each_ring(_noncommutative_p_ring)
+def _suite_t_pring(rep):
+    p = _is_prime_power(rep.order)
+    cc = rep.cent_count
+    qt = rep.quotient_type.invariant_factors
+    if cc < p + 2:
+        yield f"|Cent(R)| >= {p + 2}", str(cc)
+    if (cc == p + 2) != (qt == (p, p)):
+        yield (f"|Cent(R)| = {p + 2} iff R/Z = Z_{p} x Z_{p}",
+               f"|Cent(R)| = {cc}, R/Z = {list(qt)}")
 
 
-def _suite_l4_index2(rings, v):
-    checked = 0
-    for R in rings:
-        if len(cent_set(R)) != 4:
-            continue
-        checked += 1
-        if not any(R.order == 2 * len(c) for c in _proper_centralizers(R)):
-            _report(v, R, "some proper centralizer of index 2",
-                    str([len(c) for c in _proper_centralizers(R)]))
-    return checked
+@_each_ring()
+def _suite_t_4c(rep):
+    cc = rep.cent_count
+    qt = rep.quotient_type.invariant_factors
+    if (cc == 4) != (qt == (2, 2)):
+        yield ("|Cent(R)| = 4 iff R/Z = Z_2 x Z_2",
+               f"|Cent(R)| = {cc}, R/Z = {list(qt)}")
 
 
-def _suite_t_5c(rings, v):
-    checked = 0
-    for R in rings:
-        checked += 1
-        cc = len(cent_set(R))
-        qt = quotient_type(R, center(R)).invariant_factors
-        if (cc == 5) != (qt == (3, 3)):
-            _report(v, R, "|Cent(R)| = 5 iff R/Z = Z_3 x Z_3",
-                    f"|Cent(R)| = {cc}, R/Z = {list(qt)}")
-    return checked
+@_each_ring(lambda rep: rep.cent_count == 4)
+def _suite_l4_index2(rep):
+    proper = _proper_centralizers(rep)
+    if not any(rep.order == 2 * len(c) for c in proper):
+        yield "some proper centralizer of index 2", str([len(c) for c in proper])
 
 
-def _suite_l5c2_counting(rings, v):
-    checked = 0
-    for R in rings:
-        if len(cent_set(R)) != 5:
-            continue
-        checked += 1
-        z = center(R)
-        proper = _proper_centralizers(R)
-        if len(proper) != 4:
-            _report(v, R, "exactly 4 proper centralizers", str(len(proper)))
-            continue
-        total = sum(len(c) for c in proper) - 3 * len(z)
-        if total != R.order:
-            _report(v, R, "|R| = |A|+|B|+|C|+|D| - 3|Z(R)|",
-                    f"{total} != {R.order}")
-        for i in range(4):
-            for j in range(i + 1, 4):
-                cap = tuple(sorted(set(proper[i].members) & set(proper[j].members)))
-                if cap != z.members:
-                    _report(v, R, "pairwise intersections equal Z(R)", str(cap))
-        if 6 * len(z) > R.order:
-            _report(v, R, "|Z(R)| <= |R|/6", f"|Z| = {len(z)}, |R| = {R.order}")
-    return checked
+@_each_ring()
+def _suite_t_5c(rep):
+    cc = rep.cent_count
+    qt = rep.quotient_type.invariant_factors
+    if (cc == 5) != (qt == (3, 3)):
+        yield ("|Cent(R)| = 5 iff R/Z = Z_3 x Z_3",
+               f"|Cent(R)| = {cc}, R/Z = {list(qt)}")
 
 
-def _suite_d_58(rings, v):
-    checked = 0
-    for R in rings:
-        checked += 1
-        cc = len(cent_set(R))
-        d = commutativity_degree(R)
-        if (cc == 4) != (d == Fraction(5, 8)):
-            _report(v, R, "|Cent(R)| = 4 iff d(R) = 5/8",
-                    f"|Cent(R)| = {cc}, d = {d}")
-    return checked
+@_each_ring(lambda rep: rep.cent_count == 5)
+def _suite_l5c2_counting(rep):
+    z = rep.center
+    proper = _proper_centralizers(rep)
+    if len(proper) != 4:
+        yield "exactly 4 proper centralizers", str(len(proper))
+        return
+    total = sum(len(c) for c in proper) - 3 * len(z)
+    if total != rep.order:
+        yield "|R| = |A|+|B|+|C|+|D| - 3|Z(R)|", f"{total} != {rep.order}"
+    for i in range(4):
+        for j in range(i + 1, 4):
+            cap = tuple(sorted(set(proper[i].members) & set(proper[j].members)))
+            if cap != z.members:
+                yield "pairwise intersections equal Z(R)", str(cap)
+    if 6 * len(z) > rep.order:
+        yield "|Z(R)| <= |R|/6", f"|Z| = {len(z)}, |R| = {rep.order}"
+
+
+@_each_ring()
+def _suite_d_58(rep):
+    cc, d = rep.cent_count, rep.degree
+    if (cc == 4) != (d == Fraction(5, 8)):
+        yield "|Cent(R)| = 4 iff d(R) = 5/8", f"|Cent(R)| = {cc}, d = {d}"
 
 
 def _machale_bound(n: int) -> Fraction:
@@ -257,99 +234,64 @@ def _machale_bound(n: int) -> Fraction:
     return Fraction(p * p + p - 1, p**3)
 
 
-def _suite_d_bound(rings, v):
-    checked = 0
-    for R in rings:
-        if R.is_commutative or R.order < 2:
-            continue
-        checked += 1
-        d = commutativity_degree(R)
-        bound = _machale_bound(R.order)
-        p = smallest_prime_divisor(R.order)
-        if d > bound:
-            _report(v, R, f"d(R) <= {bound}", str(d))
-        index_z = R.order // len(center(R))
-        if (d == bound) != (index_z == p * p):
-            _report(v, R, f"d(R) = {bound} iff |R:Z(R)| = {p * p}",
-                    f"d = {d}, |R:Z| = {index_z}")
-    return checked
+def _noncommutative(rep: CentReport) -> bool:
+    return not rep.is_commutative and rep.order >= 2
 
 
-def _suite_d_rc(rings, v):
-    checked = 0
-    for R in rings:
-        if R.is_commutative or R.order < 2:
-            continue
-        checked += 1
-        p = smallest_prime_divisor(R.order)
-        if commutativity_degree(R) == _machale_bound(R.order):
-            cc = len(cent_set(R))
-            if cc != p + 2:
-                _report(v, R, f"d at the bound implies |Cent(R)| = {p + 2}",
-                        str(cc))
-    return checked
+@_each_ring(_noncommutative)
+def _suite_d_bound(rep):
+    d = rep.degree
+    bound = _machale_bound(rep.order)
+    p = smallest_prime_divisor(rep.order)
+    if d > bound:
+        yield f"d(R) <= {bound}", str(d)
+    index_z = rep.order // len(rep.center)
+    if (d == bound) != (index_z == p * p):
+        yield (f"d(R) = {bound} iff |R:Z(R)| = {p * p}",
+               f"d = {d}, |R:Z| = {index_z}")
 
 
-def _suite_d_conv(rings, v):
-    checked = 0
-    for R in rings:
-        p = _is_prime_power(R.order)
-        if p is None or R.is_commutative:
-            continue
-        checked += 1
-        if len(cent_set(R)) == p + 2:
-            d = commutativity_degree(R)
-            expected = Fraction(p * p + p - 1, p**3)
-            if d != expected:
-                _report(v, R, f"|Cent(R)| = {p + 2} implies d(R) = {expected}",
-                        str(d))
-    return checked
+@_each_ring(_noncommutative)
+def _suite_d_rc(rep):
+    p = smallest_prime_divisor(rep.order)
+    if rep.degree == _machale_bound(rep.order) and rep.cent_count != p + 2:
+        yield f"d at the bound implies |Cent(R)| = {p + 2}", str(rep.cent_count)
 
 
-def _suite_l1_intersection(rings, v):
-    checked = 0
-    for R in rings:
-        checked += 1
-        inter = set(range(R.order))
-        for c in cent_set(R):
-            inter &= set(c.members)
-        if tuple(sorted(inter)) != center(R).members:
-            _report(v, R, "Z(R) = intersection of all centralizers",
-                    str(sorted(inter)))
-    return checked
+@_each_ring(_noncommutative_p_ring)
+def _suite_d_conv(rep):
+    p = _is_prime_power(rep.order)
+    expected = Fraction(p * p + p - 1, p**3)
+    if rep.cent_count == p + 2 and rep.degree != expected:
+        yield f"|Cent(R)| = {p + 2} implies d(R) = {expected}", str(rep.degree)
 
 
-def _suite_l2_union(rings, v):
-    checked = 0
-    for R in rings:
-        if R.is_commutative:
-            continue
-        checked += 1
-        z = set(center(R).members)
-        union: set[int] = set()
-        B = R.mul == R.mul.T
-        for r in range(R.order):
-            if r not in z:
-                union.update(np.flatnonzero(B[r]).tolist())
-        if union != set(range(R.order)):
-            _report(v, R, "union of non-central centralizers is R",
-                    f"covers {len(union)} of {R.order}")
-    return checked
+@_each_ring()
+def _suite_l1_intersection(rep):
+    inter = set(range(rep.order))
+    for c in rep.centralizers:
+        inter &= set(c.members)
+    if tuple(sorted(inter)) != rep.center.members:
+        yield "Z(R) = intersection of all centralizers", str(sorted(inter))
 
 
-def _suite_l3_two_subrings(rings, v):
-    checked = 0
-    for R in rings:
-        if R.order < 2:
-            continue
-        checked += 1
-        proper = [set(S.members) for S in subrings(R) if len(S) < R.order]
-        for i in range(len(proper)):
-            for j in range(i, len(proper)):
-                if len(proper[i] | proper[j]) == R.order:
-                    _report(v, R, "no union of two proper subrings covers R",
-                            f"{sorted(proper[i])} + {sorted(proper[j])}")
-    return checked
+@_each_ring(lambda rep: not rep.is_commutative)
+def _suite_l2_union(rep):
+    # C(r) is proper exactly when r is not central
+    union = set().union(*(c.members for c in _proper_centralizers(rep)))
+    if union != set(range(rep.order)):
+        yield ("union of non-central centralizers is R",
+               f"covers {len(union)} of {rep.order}")
+
+
+@_each_ring(lambda rep: rep.order >= 2)
+def _suite_l3_two_subrings(rep):
+    proper = [set(S.members) for S in subrings(rep.ring) if len(S) < rep.order]
+    for i in range(len(proper)):
+        for j in range(i, len(proper)):
+            if len(proper[i] | proper[j]) == rep.order:
+                yield ("no union of two proper subrings covers R",
+                       f"{sorted(proper[i])} + {sorted(proper[j])}")
 
 
 SUITES: dict[str, Callable] = {
@@ -373,28 +315,34 @@ SUITES: dict[str, Callable] = {
 }
 
 
+def run_all(universe: Iterable[FiniteRing], universe_name: str = "universe",
+            suite_ids: Optional[Iterable[str]] = None) -> list[SuiteResult]:
+    """Run the named suites (all of them by default, in id order) over the
+    rings; every suite reads the same one report per ring."""
+    suite_ids = sorted(SUITES) if suite_ids is None else list(suite_ids)
+    for sid in suite_ids:
+        if sid not in SUITES:
+            raise UnknownSuite(f"unknown suite {sid!r}; "
+                               f"choices: {', '.join(sorted(SUITES))}")
+    reports = [analyze(R) for R in universe]
+    if not reports:
+        raise EmptyUniverse("the universe contains no rings")
+    results = []
+    for sid in suite_ids:
+        t0 = time.perf_counter()
+        violations: list[Violation] = []
+        checked = SUITES[sid](reports, violations)
+        results.append(SuiteResult(
+            sid, universe_name, checked, violations,
+            elapsed_secs=time.perf_counter() - t0,
+        ))
+    return results
+
+
 def run_suite(suite_id: str, universe: Iterable[FiniteRing],
               universe_name: str = "universe") -> SuiteResult:
     """Run one named suite over the given rings."""
-    if suite_id not in SUITES:
-        raise UnknownSuite(f"unknown suite {suite_id!r}; "
-                           f"choices: {', '.join(sorted(SUITES))}")
-    rings = list(universe)
-    if not rings:
-        raise EmptyUniverse("the universe contains no rings")
-    t0 = time.perf_counter()
-    violations: list[Violation] = []
-    checked = SUITES[suite_id](rings, violations)
-    return SuiteResult(
-        suite_id, universe_name, checked, violations,
-        elapsed_secs=time.perf_counter() - t0,
-    )
-
-
-def run_all(universe: Iterable[FiniteRing],
-            universe_name: str = "universe") -> list[SuiteResult]:
-    rings = list(universe)
-    return [run_suite(sid, rings, universe_name) for sid in sorted(SUITES)]
+    return run_all(universe, universe_name, [suite_id])[0]
 
 
 # --- universes -------------------------------------------------------------

@@ -3,10 +3,13 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ringcent import (
+    FiniteRing,
     IndexOutOfRange,
+    NotAdditiveSubgroup,
     analyze,
     cent_set,
     center,
@@ -21,6 +24,7 @@ from ringcent.gallery import (
     row_ring,
     upper_triangular_ring,
 )
+from ringcent.suites import mutate_entry
 
 
 def brute_force_commuting_pairs(R):
@@ -206,3 +210,25 @@ def test_report_deterministic(small_universe):
 def test_whole_ring_always_in_cent_set(small_universe):
     for R in small_universe:
         assert any(len(c) == R.order for c in cent_set(R))
+
+
+def test_reports_of_one_ring_share_their_fields():
+    R = row_ring(2)
+    assert analyze(R).ring is R
+    assert analyze(R).centralizers is analyze(R).centralizers
+    copy = FiniteRing(R.add, R.mul, R.label)
+    assert analyze(copy).centralizers is not analyze(R).centralizers
+    assert analyze(copy).to_json() == analyze(R).to_json()
+
+
+def test_report_fields_are_computed_on_first_read():
+    # with mul[0][1] = 1 the table is not a ring and its "center" is empty,
+    # so not an additive subgroup: only R/Z(R) fails, and only when read
+    doc = mutate_entry(row_ring(2), 0, 1, 1)
+    forced = FiniteRing(np.asarray(doc["add"]), np.asarray(doc["mul"]), "bad")
+    rep = analyze(forced)
+    assert rep.cent_count == len(cent_set(forced))
+    with pytest.raises(NotAdditiveSubgroup):
+        rep.quotient_type
+    with pytest.raises(NotAdditiveSubgroup):
+        rep.to_json()

@@ -1,6 +1,9 @@
 """CLI behavior, exit codes, and byte-stable report output."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from ringcent.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -168,3 +172,22 @@ def test_verify_violation_dump_path(tmp_path, capsys, monkeypatch):
     assert dumped
     doc = json.loads(dumped[0].read_text())
     assert "mul" in doc and "add" in doc
+
+
+def test_reader_that_closes_early_gets_no_traceback():
+    # the read end is closed before the command starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    argv = ["inspect", "gallery:quaternion_ring:3", "--json"]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringcent.cli", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+    assert proc.returncode == 1

@@ -21,7 +21,7 @@ from ringcent import (
     set_sum,
     validate,
 )
-from ringcent.gallery import modular_ring, row_ring
+from ringcent.gallery import direct_product, modular_ring, row_ring
 from ringcent.rings import (
     additive_closure,
     additive_subgroups,
@@ -253,9 +253,36 @@ def test_no_ring_is_union_of_two_proper_subrings(small_universe):
                 assert len(proper[i] | proper[j]) < R.order, R.label
 
 
+def _brute_force_subgroups(R) -> list[tuple[int, ...]]:
+    """Every subset containing 0 that is closed under +, by (len, members)."""
+    n = R.order
+    masks = np.arange(1 << (n - 1))
+    inside = np.ones((masks.size, n), dtype=bool)  # row k: the subset of mask k
+    inside[:, 1:] = (masks[:, None] >> np.arange(n - 1)) & 1
+    pairs = inside[:, :, None] & inside[:, None, :]
+    closed = ~(pairs & ~inside[:, R.add]).any(axis=(1, 2))
+    found = [tuple(np.flatnonzero(row).tolist()) for row in inside[closed]]
+    return sorted(found, key=lambda s: (len(s), s))
+
+
+def test_additive_subgroups_match_brute_force(small_universe):
+    for R in small_universe:
+        got = [S.members for S in additive_subgroups(R)]
+        assert got == _brute_force_subgroups(R), R.label
+
+
+def test_subgroup_count_over_the_ceiling_is_too_large(monkeypatch):
+    R = direct_product(row_ring(2), row_ring(2))
+    assert len(additive_subgroups(R)) == 67
+    monkeypatch.setattr("ringcent.rings.MAX_SUBGROUPS", 50)
+    with pytest.raises(TooLarge):
+        additive_subgroups(R)
+
+
 def test_additive_closure():
     R = modular_ring(8)
     assert additive_closure(R, [2]).members == (0, 2, 4, 6)
+    assert additive_closure(R, [4, 6]).members == (0, 2, 4, 6)
     assert is_additive_subgroup(R, additive_closure(R, [3]))
 
 

@@ -1,11 +1,13 @@
 """Theorem suites: all green on shipped universes, loud on corruption."""
 
 import random
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from ringcent import EmptyUniverse, UnknownSuite, ValidationError
+from ringcent import EmptyUniverse, UnknownSuite, ValidationError, centralizers
 from ringcent.gallery import default_gallery, row_ring
 from ringcent.rings import FiniteRing
 from ringcent.suites import (
@@ -36,6 +38,26 @@ def test_all_suites_pass_on_catalog_up_to_8(small_universe):
 def test_suite_checked_counts_are_positive(gallery_results):
     for res in gallery_results:
         assert res.checked > 0, res.suite_id
+
+
+def test_run_all_analyzes_each_ring_once(monkeypatch):
+    # fresh ring objects, so no report is left over from another test
+    rings = [FiniteRing(R.add, R.mul, R.label) for R in default_gallery()]
+    seen = []  # keeps every ring alive, so no id is reused
+    original = centralizers.cent_set
+
+    def counted(R):
+        seen.append(R)
+        return original(R)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ringcent") and getattr(mod, "cent_set", None) is original:
+            monkeypatch.setattr(mod, "cent_set", counted)
+    results = {res.suite_id: res for res in run_all(rings, "gallery")}
+    calls = Counter(id(R) for R in seen)
+    assert max(calls.values()) == 1
+    # one call per universe ring and one per product that P2_product builds
+    assert len(calls) == len(rings) + results["P2_product"].checked
 
 
 def test_unknown_suite():
