@@ -10,12 +10,11 @@ import numpy as np
 
 from .errors import NotOddPrime, NotPrime, TooLarge
 from .groups import is_prime
-from .rings import MAX_ORDER, FiniteRing, RingSpec, validate
+from .rings import MAX_ORDER, FiniteRing, validate
 
 
 def _validated(add, mul, label) -> FiniteRing:
-    return validate(RingSpec.explicit(np.asarray(add).tolist(),
-                                      np.asarray(mul).tolist(), label))
+    return validate(FiniteRing(add, mul, label))
 
 
 @lru_cache(maxsize=None)

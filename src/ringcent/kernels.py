@@ -1,9 +1,11 @@
 """Hot loops: table-law checking and structure-constant search.
 
 Each kernel has one numpy implementation working on vectorized slabs.  The
-law checks report the *first* failing triple in lexicographic scan order,
-which is what validation error messages quote; the structure search emits
-its rows in lexicographic order and can stop at a wall-clock deadline.
+law checks first try to prove their law from the additive generators of the
+table, in O(k n^2) for k generators; only when that proof fails do they scan
+all n^3 triples, to report the *first* failing triple in lexicographic scan
+order, which is what validation error messages quote.  The structure search
+emits its rows in lexicographic order and can stop at a wall-clock deadline.
 """
 
 import time
@@ -19,8 +21,88 @@ NONASSOCIATIVE_MUL = 5
 NONDISTRIBUTIVE_LEFT = 6
 NONDISTRIBUTIVE_RIGHT = 7
 
+_PASS = (OK, -1, -1, -1)
 _CHUNK_ROWS = 32          # slab height for vectorized triple checks
 _BFS_CHUNK = 1 << 14      # partial assignments per slab in the search
+
+
+def _scan(code, n, sides):
+    """(code, i, j, k) for the first triple in lexicographic order where the
+    two sides of a law differ, or None.  `sides(rows)` gives both sides for
+    the triples whose first index is in `rows`, as two (rows, n, n) arrays."""
+    for lo in range(0, n, _CHUNK_ROWS):
+        rows = np.arange(lo, min(lo + _CHUNK_ROWS, n))
+        lhs, rhs = sides(rows)
+        bad = np.argwhere(lhs != rhs)
+        if bad.size:
+            i, j, k = bad[0]
+            return code, int(rows[i]), int(j), int(k)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# proofs on additive generators
+#
+# Let G be a set of elements such that closing G under the addition table A
+# reaches every element.  A law that holds on G and whose set of good
+# elements is closed under A holds everywhere.  So:
+#
+# - A is associative iff (x+a)+y = x+(a+y) for all a in G and all x, y
+#   (Light's test; Clifford & Preston, The Algebraic Theory of Semigroups I,
+#   1961, section 1.2).
+# - Once A is associative, M distributes over A on the left iff
+#   x(y+g) = xy + xg for all g in G and all x, y, and on the right likewise.
+# - Once both distributive laws hold, (xy)z = x(yz) is closed under A in each
+#   of x, y and z, so M is associative iff it is on G x G x G.
+#
+# None of this needs an identity, commutativity or inverses in A, and every
+# premise is checked on the tables given, so each kernel is exact for any
+# input.
+
+
+def _generators(A):
+    """Generators of table A: closing them under A reaches every element.
+    Each is the least element, taking 0 last, not reached by the ones before
+    it, so a group of order n > 1 has at most log2(n) of them."""
+    n = A.shape[0]
+    reached = np.zeros(n, dtype=bool)
+    gens = []
+    for g in [*range(1, n), 0]:
+        if reached[g]:
+            continue
+        gens.append(g)
+        reached[g] = True
+        new = np.array([g])
+        while new.size:  # pair the new elements with all reached ones
+            old = np.flatnonzero(reached)
+            fresh = np.zeros(n, dtype=bool)
+            fresh[A[np.ix_(new, old)]] = True
+            fresh[A[np.ix_(old, new)]] = True
+            fresh &= ~reached
+            reached |= fresh
+            new = np.flatnonzero(fresh)
+    return np.array(gens, dtype=np.int64)
+
+
+def _associative_generators(A):
+    """Generators of A if A passes Light's associativity test on them, else
+    None."""
+    gens = _generators(A)
+    if not np.array_equal(A[A[:, gens], :], A[:, A[gens, :]]):
+        return None
+    return gens
+
+
+def _distributes_left(A, M, gens):
+    """x(y+g) = xy + xg for every generator g and all x, y."""
+    return gens is not None and np.array_equal(
+        M[:, A[:, gens]], A[M[:, :, None], M[:, gens][:, None, :]])
+
+
+def _distributes_right(A, M, gens):
+    """(y+g)x = yx + gx for every generator g and all x, y."""
+    return gens is not None and np.array_equal(
+        M[A[:, gens], :], A[M[:, None, :], M[gens][None, :, :]])
 
 
 # ---------------------------------------------------------------------------
@@ -42,36 +124,31 @@ def add_table_check(A):
         up = sym[sym[:, 0] < sym[:, 1]]
         i, j = up[np.lexsort((up[:, 1], up[:, 0]))][0]
         return NONCOMMUTATIVE_ADD, int(i), int(j), -1
-    for lo in range(0, n, _CHUNK_ROWS):
-        rows = np.arange(lo, min(lo + _CHUNK_ROWS, n))
-        lhs = A[A[rows, :], :]
-        rhs = A[rows][:, A]
-        bad = np.argwhere(lhs != rhs)
-        if bad.size:
-            i, j, k = bad[0]
-            return NONASSOCIATIVE_ADD, int(rows[i]), int(j), int(k)
+    if _associative_generators(A) is None:
+        bad = _scan(NONASSOCIATIVE_ADD, n,
+                    lambda rows: (A[A[rows, :], :], A[rows][:, A]))
+        if bad:
+            return bad
     bad = np.flatnonzero(~(A == 0).any(axis=1))
     if bad.size:
         return NO_INVERSE, int(bad[0]), -1, -1
-    return OK, -1, -1, -1
+    return _PASS
 
 
 # ---------------------------------------------------------------------------
 # multiplication: associativity
 
 
-def mul_assoc_check(M):
-    """First associativity failure in M, or (OK, -1, -1, -1)."""
-    n = M.shape[0]
-    for lo in range(0, n, _CHUNK_ROWS):
-        rows = np.arange(lo, min(lo + _CHUNK_ROWS, n))
-        lhs = M[M[rows, :], :]
-        rhs = M[rows][:, M]
-        bad = np.argwhere(lhs != rhs)
-        if bad.size:
-            i, j, k = bad[0]
-            return NONASSOCIATIVE_MUL, int(rows[i]), int(j), int(k)
-    return OK, -1, -1, -1
+def mul_assoc_check(A, M):
+    """First associativity failure in M, or (OK, -1, -1, -1).  The addition
+    table A only serves the proof on generators."""
+    gens = _associative_generators(A)
+    if _distributes_left(A, M, gens) and _distributes_right(A, M, gens):
+        prods = M[np.ix_(gens, gens)]
+        if np.array_equal(M[prods][:, :, gens], M[gens][:, prods]):
+            return _PASS
+    return _scan(NONASSOCIATIVE_MUL, M.shape[0],
+                 lambda rows: (M[M[rows, :], :], M[rows][:, M])) or _PASS
 
 
 # ---------------------------------------------------------------------------
@@ -81,23 +158,20 @@ def mul_assoc_check(M):
 def distrib_check(A, M):
     """First distributivity failure of M over A, or (OK, -1, -1, -1)."""
     n = A.shape[0]
-    for lo in range(0, n, _CHUNK_ROWS):
-        rows = np.arange(lo, min(lo + _CHUNK_ROWS, n))
-        lhs = M[rows][:, A]
-        rhs = A[M[rows, :][:, :, None], M[rows, :][:, None, :]]
-        bad = np.argwhere(lhs != rhs)
-        if bad.size:
-            i, j, k = bad[0]
-            return NONDISTRIBUTIVE_LEFT, int(rows[i]), int(j), int(k)
-    for lo in range(0, n, _CHUNK_ROWS):
-        rows = np.arange(lo, min(lo + _CHUNK_ROWS, n))
-        lhs = M[A[rows, :], :]
-        rhs = A[M[rows][:, None, :], M[None, :, :]]
-        bad = np.argwhere(lhs != rhs)
-        if bad.size:
-            i, j, k = bad[0]
-            return NONDISTRIBUTIVE_RIGHT, int(rows[i]), int(j), int(k)
-    return OK, -1, -1, -1
+    gens = _associative_generators(A)
+    if not _distributes_left(A, M, gens):
+        bad = _scan(NONDISTRIBUTIVE_LEFT, n, lambda rows: (
+            M[rows][:, A],
+            A[M[rows, :][:, :, None], M[rows, :][:, None, :]]))
+        if bad:
+            return bad
+    if not _distributes_right(A, M, gens):
+        bad = _scan(NONDISTRIBUTIVE_RIGHT, n, lambda rows: (
+            M[A[rows, :], :],
+            A[M[rows][:, None, :], M[None, :, :]]))
+        if bad:
+            return bad
+    return _PASS
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +220,15 @@ def structure_search(factors, coeff, allowed, deadline=None):
     element x, `allowed[cell, x]` a 0/1 mask of admissible products per cell.
     Returns (assignments, status, nodes) with the rows in lexicographic
     order.  `deadline` is a `time.monotonic()` value checked before every
-    slab of _BFS_CHUNK partial assignments, so a run overshoots it by at most
-    one slab; once it has passed the search stops with status -1 and no rows.
-    `nodes` counts the partial assignments built.
+    slab of _BFS_CHUNK partial assignments and before every constraint
+    evaluated on a slab, so a run overshoots it by at most one constraint
+    evaluation; once it has passed the search stops with status -1 and no
+    rows.  `nodes` counts the partial assignments built.
     """
+
+    def expired():
+        return deadline is not None and time.monotonic() >= deadline
+
     k = len(factors)
     kk = k * k
     coeff = coeff.astype(np.int64)
@@ -162,7 +241,7 @@ def structure_search(factors, coeff, allowed, deadline=None):
         cands = cand_abc[cand_off[t]:cand_off[t + 1]]
         survivors = []
         for lo in range(0, frontier.shape[0], _BFS_CHUNK):
-            if deadline is not None and time.monotonic() >= deadline:
+            if expired():
                 return np.zeros((0, kk), dtype=np.int64), -1, nodes
             part = frontier[lo:lo + _BFS_CHUNK]
             w, v = part.shape[0], vals.shape[0]
@@ -175,6 +254,8 @@ def structure_search(factors, coeff, allowed, deadline=None):
                 ab, bc = a * k + b, b * k + c
                 if ab > t or bc > t:
                     continue
+                if expired():
+                    return np.zeros((0, kk), dtype=np.int64), -1, nodes
                 vab = coeff[ext[:, ab]]
                 vbc = coeff[ext[:, bc]]
                 lhs = np.zeros((ext.shape[0], k), dtype=np.int64)

@@ -245,6 +245,9 @@ def _suite_d_bound(rep):
     p = smallest_prime_divisor(rep.order)
     if d > bound:
         yield f"d(R) <= {bound}", str(d)
+    if not len(rep.center):  # 0 is central in every ring
+        raise ValidationError(f"{rep.ring_label}: the center is empty, so "
+                              "|R:Z(R)| is undefined; the table is not a ring")
     index_z = rep.order // len(rep.center)
     if (d == bound) != (index_z == p * p):
         yield (f"d(R) = {bound} iff |R:Z(R)| = {p * p}",

@@ -1,6 +1,8 @@
 """Kernels against naive oracles: pure-Python triple loops for the law
 checks (same code, same first failing triple) and brute-force expansion for
-the structure search (same rows, same order)."""
+the structure search (same rows, same order).  The law checks prove a valid
+table valid on its additive generators; the structural tests below pin that
+they do so without scanning triples."""
 
 import itertools
 import time
@@ -9,9 +11,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringcent import kernels
+from ringcent import kernels, rings
 from ringcent.enumeration import _search_inputs
 from ringcent.gallery import (
+    default_gallery,
     four_element_matrix_ring,
     modular_ring,
     row_ring,
@@ -95,8 +98,8 @@ def test_add_check_matches_naive_triple_loop(case):
 @settings(max_examples=300, deadline=None)
 @given(perturbed("mul"))
 def test_mul_assoc_check_matches_naive_triple_loop(case):
-    _, M = case
-    assert kernels.mul_assoc_check(M) == naive_mul_assoc(M.tolist())
+    ring, M = case
+    assert kernels.mul_assoc_check(ring.add, M) == naive_mul_assoc(M.tolist())
 
 
 @settings(max_examples=300, deadline=None)
@@ -106,6 +109,112 @@ def test_distrib_check_matches_naive_triple_loop(case):
     assert kernels.distrib_check(ring.add, M) == naive_distrib(
         ring.add.tolist(), M.tolist()
     )
+
+
+@st.composite
+def perturbed_pair(draw):
+    """A small ring with up to two cells of each table overwritten, so that
+    the addition table the proofs rest on can be broken too."""
+    ring = draw(st.sampled_from(BASES))
+    n = ring.order
+    cell = st.tuples(*[st.integers(0, n - 1)] * 3)
+    A, M = ring.add.copy(), ring.mul.copy()
+    for table in (A, M):
+        for i, j, v in draw(st.lists(cell, max_size=2)):
+            table[i, j] = v
+    return A, M
+
+
+@settings(max_examples=200, deadline=None)
+@given(perturbed_pair())
+def test_mul_checks_match_naive_loops_over_any_addition_table(case):
+    A, M = case
+    assert kernels.mul_assoc_check(A, M) == naive_mul_assoc(M.tolist())
+    assert kernels.distrib_check(A, M) == naive_distrib(A.tolist(), M.tolist())
+
+
+def closure(A, seed):
+    """Everything reached from `seed` by the table A, by naive iteration."""
+    out = set(seed)
+    while True:
+        more = {A[x][y] for x in out for y in out} - out
+        if not more:
+            return out
+        out |= more
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_generators_are_the_greedy_generators_of_any_table(A):
+    gens = kernels._generators(np.array(A)).tolist()
+    order = [*range(1, len(A)), 0]
+    for i, g in enumerate(gens):
+        reached = closure(A, gens[:i])
+        assert g == next(x for x in order if x not in reached)
+    assert closure(A, gens) == set(range(len(A)))
+
+
+@st.composite
+def bilinear(draw):
+    """A relabeled table of a random bilinear product on a small cyclic or
+    elementary abelian group, where any structure constants are well
+    defined: distributive by construction, associative or not."""
+    factors = draw(st.sampled_from([(4,), (2, 2), (3, 3), (2, 2, 2)]))
+    k = len(factors)
+    constants = draw(st.lists(st.integers(0, 3), min_size=k ** 3,
+                              max_size=k ** 3))
+    A, M = rings.structure_tables(factors, np.reshape(constants, (k, k, k)))
+    n = A.shape[0]
+    ring = rings.FiniteRing(A, M).relabel(np.concatenate(
+        [[0], 1 + np.array(draw(st.permutations(range(n - 1))), dtype=int)]))
+    return ring.add, ring.mul
+
+
+@settings(max_examples=200, deadline=None)
+@given(bilinear())
+def test_mul_assoc_check_matches_naive_loop_on_distributive_tables(case):
+    A, M = case
+    assert kernels.distrib_check(A, M) == (kernels.OK, -1, -1, -1)
+    assert kernels.mul_assoc_check(A, M) == naive_mul_assoc(M.tolist())
+
+
+def test_order_one_ring_is_generated_by_its_zero():
+    A = M = np.zeros((1, 1), dtype=np.int64)
+    assert kernels._generators(A).tolist() == [0]
+    assert kernels.add_table_check(A) == (kernels.OK, -1, -1, -1)
+    assert kernels.mul_assoc_check(A, M) == (kernels.OK, -1, -1, -1)
+    assert kernels.distrib_check(A, M) == (kernels.OK, -1, -1, -1)
+
+
+def test_zero_ring_on_z2_to_the_4_is_proved_on_four_additive_generators():
+    # Multiplicatively every nonzero element is needed to generate this ring,
+    # but the proofs run on the 4 additive generators.
+    A = group_add_table((2, 2, 2, 2))
+    M = np.zeros_like(A)
+    assert kernels._generators(A).tolist() == [1, 2, 4, 8]
+    assert kernels.add_table_check(A) == (kernels.OK, -1, -1, -1)
+    assert kernels.mul_assoc_check(A, M) == (kernels.OK, -1, -1, -1)
+    assert kernels.distrib_check(A, M) == (kernels.OK, -1, -1, -1)
+    M[3, 5] = 6
+    assert kernels.mul_assoc_check(A, M) == naive_mul_assoc(M.tolist())
+    assert kernels.distrib_check(A, M) == naive_distrib(A.tolist(), M.tolist())
+    assert kernels.distrib_check(A, M)[0] == kernels.NONDISTRIBUTIVE_LEFT
+
+
+def _no_scan(*args):
+    raise AssertionError("a valid table was scanned triple by triple")
+
+
+def test_valid_rings_are_validated_without_a_triple_scan(monkeypatch):
+    R = modular_ring(256)
+    perm = np.concatenate([[0], 1 + np.random.default_rng(3).permutation(255)])
+    moved = R.relabel(perm, "Z_256 relabeled")
+    gallery = default_gallery()
+    monkeypatch.setattr(kernels, "_scan", _no_scan)
+    for ring in [moved] + gallery:
+        rings.validate(ring)
 
 
 def test_add_check_accepts_group_tables():
@@ -134,15 +243,17 @@ def test_add_check_associativity_failure():
 
 def test_mul_and_distrib_checks_agree_on_real_rings():
     for ring in [modular_ring(12), row_ring(3)]:
-        assert kernels.mul_assoc_check(ring.mul) == (kernels.OK, -1, -1, -1)
+        assert kernels.mul_assoc_check(ring.add, ring.mul) == (
+            kernels.OK, -1, -1, -1)
         assert kernels.distrib_check(ring.add, ring.mul) == (
             kernels.OK, -1, -1, -1)
 
 
 def test_mul_assoc_first_failure_triple_matches():
-    M = modular_ring(6).mul.copy()
+    ring = modular_ring(6)
+    M = ring.mul.copy()
     M[2, 3] = 1
-    got = kernels.mul_assoc_check(M)
+    got = kernels.mul_assoc_check(ring.add, M)
     assert got[0] == kernels.NONASSOCIATIVE_MUL
     assert got == naive_mul_assoc(M.tolist())
 

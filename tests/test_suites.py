@@ -171,3 +171,11 @@ def test_violation_reports_carry_the_offending_spec():
             assert "mul" in res.violations[0].spec
             failures.append(sid)
     assert failures
+
+
+def test_d_bound_names_an_empty_center():
+    # mul[0][1] = 1 leaves no element commuting with everything, 0 included
+    doc = mutate_entry(row_ring(2), 0, 1, 1)
+    forced = FiniteRing(np.asarray(doc["add"]), np.asarray(doc["mul"]), "bad")
+    with pytest.raises(ValidationError, match=r"^bad: the center is empty"):
+        run_suite("D_bound", [forced], "m")
