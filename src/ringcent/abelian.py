@@ -12,7 +12,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import NotAdditiveSubgroup, NotPrime
-from .groups import is_prime, prime_factorization
+from .groups import invariant_factors, is_prime, prime_factorization
 from .rings import ElementSet, FiniteRing, is_additive_subgroup
 
 
@@ -75,15 +75,7 @@ def _classify_orders(orders: np.ndarray) -> AbelianGroupType:
                 break
         parts = [sum(1 for m in at_least if m >= i + 1) for i in range(max(at_least, default=0))]
         partitions[p] = sorted(parts, reverse=True)
-    depth = max(len(v) for v in partitions.values())
-    descending = []
-    for pos in range(depth):
-        f = 1
-        for p, parts in partitions.items():
-            if pos < len(parts):
-                f *= p ** parts[pos]
-        descending.append(f)
-    return AbelianGroupType(tuple(reversed(descending)))
+    return AbelianGroupType(invariant_factors(partitions))
 
 
 def classify_additive(R: FiniteRing) -> AbelianGroupType:

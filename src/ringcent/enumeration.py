@@ -22,7 +22,7 @@ import numpy as np
 
 from . import groups, kernels
 from .abelian import classify_additive
-from .centralizers import cent_set, commutativity_degree
+from .centralizers import analyze, cent_set
 from .errors import PartialUniverse, RingError, TooLarge
 from .rings import (
     FiniteRing,
@@ -59,81 +59,66 @@ def element_fingerprints(R: FiniteRing) -> list[tuple[int, int, int]]:
 def ring_fingerprint(R: FiniteRing) -> tuple:
     """Cheap ring-level isomorphism invariant; isomorphic() compares these
     before it searches for a map."""
-    cs = cent_set(R)
+    report = analyze(R)
+    cs = report.centralizers
     return (
         R.order,
-        classify_additive(R).invariant_factors,
+        report.additive_type.invariant_factors,
         bool(R.is_commutative),
         len(cs),
         tuple(sorted(len(c) for c in cs)),
-        commutativity_degree(R),
+        report.degree,
         tuple(sorted(element_fingerprints(R))),
     )
 
 
-def additive_basis(R: FiniteRing) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Elements (b1..bk) with ord(bi) = di (the ascending invariant factors)
-    whose cyclic subgroups sum directly to all of (R, +).
+def _bases(R: FiniteRing, factors: tuple[int, ...]):
+    """Every additive basis (b1..bk) of R: ord(bi) = di (the ascending
+    invariant factors) and the cyclic subgroups sum directly to all of (R, +).
 
-    Found largest-order-first with backtracking; the returned tuple is
-    reversed into ascending order to match the invariant factors.
+    Searched largest order first, trying elements in index order; each basis
+    is yielded in ascending order to match the invariant factors.
     """
-    factors = classify_additive(R).invariant_factors
-    if not factors:
-        return (), ()
-    desc = tuple(reversed(factors))
+    desc = factors[::-1]
     orders = R.additive_orders()
     basis: list[int] = []
-    spans: list[set[int]] = [{0}]
 
-    def rec(i: int) -> bool:
+    def rec(span: set[int]):
+        i = len(basis)
         if i == len(desc):
-            return True
-        target = math.prod(desc[: i + 1])
+            yield tuple(reversed(basis))
+            return
         for b in range(1, R.order):
-            if orders[b] != desc[i] or b in spans[-1]:
+            if orders[b] != desc[i] or b in span:
                 continue
-            bigger = join(R, spans[-1], b)
-            if len(bigger) == target:
+            bigger = join(R, span, b)
+            if len(bigger) == len(span) * desc[i]:
                 basis.append(b)
-                spans.append(bigger)
-                if rec(i + 1):
-                    return True
+                yield from rec(bigger)
                 basis.pop()
-                spans.pop()
-        return False
 
-    if not rec(0):
+    yield from rec({0})
+
+
+def additive_basis(R: FiniteRing) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The first basis _bases finds, with the invariant factors."""
+    factors = classify_additive(R).invariant_factors
+    basis = next(_bases(R, factors), None)
+    if basis is None:
         raise AssertionError(f"no additive basis found for {R.label}")
-    return tuple(reversed(basis)), factors
+    return basis, factors
 
 
 def _coords_map(R: FiniteRing, basis: tuple[int, ...],
                 factors: tuple[int, ...]) -> np.ndarray:
     """from_coords[std_index] = ring element, under the mixed-radix encoding."""
-    n = R.order
-    out = np.zeros(n, dtype=np.int64)
     cv = groups.coeff_vectors(factors)
-    cyc = [_cyclic_steps(R, b) for b in basis]
-    for idx in range(n):
-        x = 0
-        for i in range(len(basis)):
-            x = int(R.add[x, cyc[i][cv[idx, i]]])
-        out[idx] = x
-    assert len(set(out.tolist())) == n, "basis span is not direct"
+    out = np.zeros(R.order, dtype=np.int64)
+    for i, b in enumerate(basis):
+        steps = np.array(_cyclic_steps(R, b), dtype=np.int64)
+        out = R.add[out, steps[cv[:, i]]]
+    assert len(set(out.tolist())) == R.order, "basis span is not direct"
     return out
-
-
-def basis_iso_to_std(R: FiniteRing) -> tuple[np.ndarray, tuple[int, ...]]:
-    """One additive isomorphism R -> standard group, as the array
-    psi[ring element] = standard index."""
-    basis, factors = additive_basis(R)
-    n = R.order
-    psi = np.zeros(n, dtype=np.int64)
-    if factors:
-        from_coords = _coords_map(R, basis, factors)
-        psi[from_coords] = np.arange(n)
-    return psi, factors
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +235,6 @@ def _min_group_table(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """
     Tm = groups.group_add_table(factors)
     n = Tm.shape[0]
-    if n == 1:
-        return Tm.copy(), np.zeros(1, dtype=np.int64)
     T = Tm.tolist()
     positions = [(i, j) for i in range(1, n) for j in range(1, n)]
     last = len(positions)
@@ -328,60 +311,23 @@ def _min_group_table(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 def _min_group_automorphisms(factors: tuple[int, ...]) -> np.ndarray:
     """(count, n) array of every automorphism of the minimal-table group."""
     table, _ = _min_group_table(factors)
-    n = table.shape[0]
-    if not factors:
-        return np.zeros((1, 1), dtype=np.int64)
     G = FiniteRing(table, np.zeros_like(table), "G_min")
-    orders = G.additive_orders()
-    cv = groups.coeff_vectors(factors)
-    k = len(factors)
-    rows: list[np.ndarray] = []
-    basis: list[int] = []
-    spans: list[set[int]] = [{0}]
+    # one isomorphism std -> G_min per basis; automorphisms are r o rows[0]^-1
+    rows = np.stack([_coords_map(G, b, factors) for b in _bases(G, factors)])
+    inv0 = np.empty_like(rows[0])
+    inv0[rows[0]] = np.arange(rows.shape[1])
+    return rows[:, inv0]
 
-    def rec(i: int):
-        if i == k:
-            cyc = [_cyclic_steps(G, b) for b in basis]
-            from_coords = np.zeros(n, dtype=np.int64)
-            for idx in range(n):
-                x = 0
-                for t in range(k):
-                    x = int(G.add[x, cyc[t][cv[idx, t]]])
-                from_coords[idx] = x
-            rows.append(from_coords)
-            return
-        for b in range(1, n):
-            if orders[b] != factors[i] or b in spans[-1]:
-                continue
-            bigger = join(G, spans[-1], b)
-            if len(bigger) != len(spans[-1]) * factors[i]:
-                continue
-            basis.append(b)
-            spans.append(bigger)
-            rec(i + 1)
-            basis.pop()
-            spans.pop()
 
-    rec(0)
-    # rows[r] is an iso std -> G_min; automorphisms are rows[r] o rows[0]^-1
-    base = rows[0]
+def _canonical_mul(factors: tuple[int, ...], mul: np.ndarray) -> np.ndarray:
+    """The least multiplication table, over every relabeling that carries the
+    standard group table of `factors` onto its minimal table, transported
+    from `mul` given in standard coordinates."""
+    _, sigma = _min_group_table(factors)
+    n = sigma.shape[0]
     inv0 = np.empty(n, dtype=np.int64)
-    inv0[base] = np.arange(n)
-    return np.stack([r[inv0] for r in rows])
-
-
-def canonical_form(R: FiniteRing) -> FiniteRing:
-    """Lexicographically minimal (add table, mul table) over all relabelings
-    fixing index 0.  Isomorphic rings map to identical canonical forms."""
-    if R.order > MAX_CANON_ORDER:
-        raise TooLarge(f"canonical_form supports order <= {MAX_CANON_ORDER}")
-    n = R.order
-    psi, factors = basis_iso_to_std(R)
-    min_add, sigma = _min_group_table(factors)
-    map0 = sigma[psi]  # one additive iso R -> minimal-table group
-    inv0 = np.empty(n, dtype=np.int64)
-    inv0[map0] = np.arange(n)
-    M0 = map0[R.mul[np.ix_(inv0, inv0)]]
+    inv0[sigma] = np.arange(n)
+    M0 = sigma[mul[np.ix_(inv0, inv0)]]
     auts = _min_group_automorphisms(factors)
     a = auts.shape[0]
     inv = np.empty_like(auts)
@@ -391,7 +337,18 @@ def canonical_form(R: FiniteRing) -> FiniteRing:
     transported = auts[rows[:, None], gather]
     flat = transported.reshape(a, n * n)
     order = np.lexsort(flat.T[::-1])
-    return FiniteRing(min_add, transported[order[0]], R.label)
+    return transported[order[0]]
+
+
+def canonical_form(R: FiniteRing) -> FiniteRing:
+    """Lexicographically minimal (add table, mul table) over all relabelings
+    fixing index 0.  Isomorphic rings map to identical canonical forms."""
+    if R.order > MAX_CANON_ORDER:
+        raise TooLarge(f"canonical_form supports order <= {MAX_CANON_ORDER}")
+    basis, factors = additive_basis(R)
+    std = R.relabel(_coords_map(R, basis, factors))
+    return FiniteRing(_min_group_table(factors)[0],
+                      _canonical_mul(factors, std.mul), R.label)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +412,8 @@ def structure_to_ring(factors: tuple[int, ...], assignment: np.ndarray,
 
 def _expand_fast(factors: tuple[int, ...], assignment: np.ndarray,
                  label: str) -> FiniteRing:
-    """Table expansion without the O(n^3) law check: the search already
-    guarantees associativity, and bilinearity guarantees distributivity."""
+    """Table expansion without validate: the search already guarantees
+    associativity, and bilinearity guarantees distributivity."""
     add, mul = structure_tables(factors, _constants(factors, assignment))
     return FiniteRing(add, mul, label)
 
@@ -506,7 +463,9 @@ def enumerate_rings(n: int, up_to_iso: bool = True,
                     budget_secs: Optional[float] = None) -> IsoClassCatalog:
     """Catalog of all rings of order n, optionally deduped by isomorphism.
 
-    Dedup keys each raw structure, in search order, on its canonical_form;
+    Dedup keys each raw structure, in search order, on its group type and
+    canonical multiplication, minimized in the standard coordinates it was
+    expanded in (_canonical_mul, as canonical_form does once it has a basis);
     the first of each class becomes representative o{n}_c{k:03d}, stored in
     canonical tables.  isomorphic stays out of it, as the independent check.
 
@@ -583,11 +542,15 @@ def enumerate_rings(n: int, up_to_iso: bool = True,
         _flush_manifest(out_path, n, partition_log, complete=True, catalog=catalog)
         return catalog
 
-    classes: dict[bytes, FiniteRing] = {}
+    # keyed on the group too: the zero rings on Z_4 and Z_2^2 share a mul
+    classes: dict[tuple, FiniteRing] = {}
     for factors, row in raw_rings:
-        label = f"o{n}_c{len(classes):03d}"
-        c = canonical_form(_expand_fast(factors, row, label))
-        classes.setdefault(c.add.tobytes() + c.mul.tobytes(), c)
+        _, mul = structure_tables(factors, _constants(factors, row))
+        cmul = _canonical_mul(factors, mul)
+        key = (factors, cmul.tobytes())
+        if key not in classes:
+            classes[key] = FiniteRing(_min_group_table(factors)[0], cmul,
+                                      f"o{n}_c{len(classes):03d}")
     reps = list(classes.values())
     for r in reps:
         validate(r)

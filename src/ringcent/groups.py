@@ -12,19 +12,6 @@ from functools import lru_cache
 import numpy as np
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def prime_factorization(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     p = 2
@@ -38,15 +25,14 @@ def prime_factorization(n: int) -> dict[int, int]:
     return out
 
 
+def is_prime(n: int) -> bool:
+    return n >= 2 and prime_factorization(n) == {n: 1}
+
+
 def smallest_prime_divisor(n: int) -> int:
     if n < 2:
         raise ValueError("no prime divisor of %d" % n)
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 1
-    return n
+    return min(prime_factorization(n))
 
 
 def radix_weights(factors: tuple[int, ...]) -> tuple[int, ...]:
@@ -104,6 +90,21 @@ def _partitions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def invariant_factors(parts_by_prime: dict[int, list[int]]) -> tuple[int, ...]:
+    """Ascending invariant-factor chain of the group whose p-part is
+    Z_{p^a1} x Z_{p^a2} x ... for each p -> [a1 >= a2 >= ...]."""
+    depth = max((len(parts) for parts in parts_by_prime.values()), default=0)
+    descending = []
+    for pos in range(depth):
+        f = 1
+        for p, parts in parts_by_prime.items():
+            if pos < len(parts):
+                f *= p ** parts[pos]
+        descending.append(f)
+    # descending prime partitions give descending invariant factors
+    return tuple(reversed(descending))
+
+
 @lru_cache(maxsize=None)
 def abelian_group_types(n: int) -> tuple[tuple[int, ...], ...]:
     """Invariant-factor chains (ascending divisibility) of all abelian groups
@@ -118,17 +119,8 @@ def abelian_group_types(n: int) -> tuple[tuple[int, ...], ...]:
     types = set()
     idx = [0] * len(primes)
     while True:
-        combo = [per_prime[i][idx[i]] for i in range(len(primes))]
-        depth = max(len(c) for c in combo)
-        invs = []
-        for pos in range(depth):
-            f = 1
-            for p, part in zip(primes, combo):
-                if pos < len(part):
-                    f *= p ** part[pos]
-            invs.append(f)
-        # descending prime partitions give descending invariant factors
-        types.add(tuple(reversed(invs)))
+        types.add(invariant_factors(
+            {p: per_prime[i][idx[i]] for i, p in enumerate(primes)}))
         for i in range(len(primes) - 1, -1, -1):
             idx[i] += 1
             if idx[i] < len(per_prime[i]):

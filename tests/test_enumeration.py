@@ -20,6 +20,8 @@ from ringcent import (
     validate,
 )
 from ringcent.enumeration import (
+    _min_group_automorphisms,
+    _min_group_table,
     _partition_values,
     additive_basis,
     element_fingerprints,
@@ -137,6 +139,43 @@ def test_canonical_form_equality_iff_isomorphic(catalog):
             same = np.array_equal(forms[i].add, forms[j].add) and \
                 np.array_equal(forms[i].mul, forms[j].mul)
             assert same == isomorphic(a, b)
+
+
+def test_min_group_automorphisms_are_every_table_automorphism():
+    # oracle: every permutation of the elements, kept if it preserves the
+    # minimal group table; each such permutation fixes 0
+    counts = {}
+    for n in range(1, 9):
+        for factors in abelian_group_types(n):
+            T = _min_group_table(factors)[0]
+            perms = np.array(list(itertools.permutations(range(n))))
+            keep = (perms[:, T] == T[perms[:, :, None], perms[:, None, :]])
+            found = perms[keep.reshape(len(perms), -1).all(axis=1)]
+            assert (found[:, 0] == 0).all()
+            rows = _min_group_automorphisms(factors)
+            assert len({tuple(r) for r in rows.tolist()}) == len(rows)
+            assert sorted(map(tuple, rows.tolist())) == \
+                sorted(map(tuple, found.tolist()))
+            counts[factors] = len(rows)
+    assert counts[(2, 2, 2)] == 168
+    assert counts[(2, 4)] == 8
+    assert counts[(8,)] == 4
+
+
+def test_raw_structures_canonicalize_onto_catalog_by_their_own_basis(catalog):
+    # second route for the dedup outside order 8: canonical_form finds an
+    # additive basis of each expanded raw ring, where enumerate_rings
+    # minimizes in the coordinates the ring was built in
+    for n in [n for n in range(1, 14) if n != 8]:
+        reps = {R.add.tobytes() + R.mul.tobytes()
+                for R in catalog(n).representatives}
+        forms = set()
+        for ring in enumerate_rings(n, up_to_iso=False).representatives:
+            c = canonical_form(ring)
+            form = c.add.tobytes() + c.mul.tobytes()
+            assert form in reps, (n, ring.label)
+            forms.add(form)
+        assert forms == reps, n
 
 
 def test_canonical_form_order_cap():
