@@ -121,6 +121,12 @@ def _coords_map(R: FiniteRing, basis: tuple[int, ...],
     return out
 
 
+def _inverse(perm: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.shape[0])
+    return inv
+
+
 # ---------------------------------------------------------------------------
 # ring isomorphism
 
@@ -301,8 +307,7 @@ def _min_group_table(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
     run(0, True)
     sigma = np.array(state["best_rho"], dtype=np.int64)
-    inv = np.empty(n, dtype=np.int64)
-    inv[sigma] = np.arange(n)
+    inv = _inverse(sigma)
     table = sigma[Tm[np.ix_(inv, inv)]]
     return table, sigma
 
@@ -314,30 +319,27 @@ def _min_group_automorphisms(factors: tuple[int, ...]) -> np.ndarray:
     G = FiniteRing(table, np.zeros_like(table), "G_min")
     # one isomorphism std -> G_min per basis; automorphisms are r o rows[0]^-1
     rows = np.stack([_coords_map(G, b, factors) for b in _bases(G, factors)])
-    inv0 = np.empty_like(rows[0])
-    inv0[rows[0]] = np.arange(rows.shape[1])
-    return rows[:, inv0]
+    return rows[:, _inverse(rows[0])]
 
 
-def _canonical_mul(factors: tuple[int, ...], mul: np.ndarray) -> np.ndarray:
-    """The least multiplication table, over every relabeling that carries the
-    standard group table of `factors` onto its minimal table, transported
-    from `mul` given in standard coordinates."""
+def _transports(factors: tuple[int, ...], mul: np.ndarray) -> np.ndarray:
+    """(count, n, n) stack: `mul`, given in standard coordinates, relabeled
+    onto the minimal group table of `factors` and transported by each of its
+    automorphisms, in the order of _min_group_automorphisms."""
     _, sigma = _min_group_table(factors)
-    n = sigma.shape[0]
-    inv0 = np.empty(n, dtype=np.int64)
-    inv0[sigma] = np.arange(n)
+    inv0 = _inverse(sigma)
     M0 = sigma[mul[np.ix_(inv0, inv0)]]
     auts = _min_group_automorphisms(factors)
-    a = auts.shape[0]
     inv = np.empty_like(auts)
-    rows = np.arange(a)[:, None]
-    inv[rows, auts] = np.arange(n)[None, :]
-    gather = M0[inv[:, :, None], inv[:, None, :]]
-    transported = auts[rows[:, None], gather]
-    flat = transported.reshape(a, n * n)
-    order = np.lexsort(flat.T[::-1])
-    return transported[order[0]]
+    rows = np.arange(auts.shape[0])[:, None]
+    inv[rows, auts] = np.arange(auts.shape[1])[None, :]
+    return auts[rows[:, None], M0[inv[:, :, None], inv[:, None, :]]]
+
+
+def _least(tables: np.ndarray) -> np.ndarray:
+    """The lexicographically least table of a stack."""
+    flat = tables.reshape(tables.shape[0], -1)
+    return tables[np.lexsort(flat.T[::-1])[0]]
 
 
 def canonical_form(R: FiniteRing) -> FiniteRing:
@@ -348,7 +350,7 @@ def canonical_form(R: FiniteRing) -> FiniteRing:
     basis, factors = additive_basis(R)
     std = R.relabel(_coords_map(R, basis, factors))
     return FiniteRing(_min_group_table(factors)[0],
-                      _canonical_mul(factors, std.mul), R.label)
+                      _least(_transports(factors, std.mul)), R.label)
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +399,12 @@ def raw_structures(factors: tuple[int, ...], g11: Optional[int] = None,
 
 
 def _constants(factors: tuple[int, ...], assignment: np.ndarray) -> np.ndarray:
-    """(k, k, k) structure constants of one generator-product assignment."""
+    """(k, k, k) structure constants of one generator-product assignment, or
+    (r, k, k, k) for a stack of r assignments."""
     k = len(factors)
     cv = groups.coeff_vectors(factors)
-    return cv[np.asarray(assignment, dtype=np.int64)].reshape(k, k, k)
+    assignment = np.asarray(assignment, dtype=np.int64)
+    return cv[assignment].reshape(*assignment.shape[:-1], k, k, k)
 
 
 def structure_to_ring(factors: tuple[int, ...], assignment: np.ndarray,
@@ -410,12 +414,49 @@ def structure_to_ring(factors: tuple[int, ...], assignment: np.ndarray,
     return validate(RingSpec.structure(list(factors), constants.tolist(), label))
 
 
-def _expand_fast(factors: tuple[int, ...], assignment: np.ndarray,
-                 label: str) -> FiniteRing:
-    """Table expansion without validate: the search already guarantees
-    associativity, and bilinearity guarantees distributivity."""
-    add, mul = structure_tables(factors, _constants(factors, assignment))
-    return FiniteRing(add, mul, label)
+def _orbit_classes(factors: tuple[int, ...], rows: np.ndarray) -> list[np.ndarray]:
+    """Canonical multiplication of each Aut(G)-orbit among the raw rows of one
+    group type, in the order of each orbit's first row.
+
+    Rows are walked in search order.  A row not yet seen is expanded, without
+    validate (the search guarantees associativity, bilinearity
+    distributivity), and transported under every automorphism of the group
+    (_transports): the least transported table is its class's canonical
+    multiplication, and every transported table, read back at the generators
+    in standard coordinates, is a row of the same orbit, skipped from then on.
+    The orbits must partition the rows, so an image that is not a raw row, or
+    orbit sizes that do not sum to the row count (a row missing or repeated),
+    raise RingError naming the group rather than give a wrong catalog.
+    """
+    k = len(factors)
+    _, sigma = _min_group_table(factors)
+    inv0 = _inverse(sigma)
+    gens = sigma[list(groups.radix_weights(factors))]  # g_i on the minimal table
+    raw = {row.tobytes() for row in rows}
+    seen: set[bytes] = set()
+    covered = 0
+    classes = []
+    for row in rows:
+        if row.tobytes() in seen:
+            continue
+        _, mul = structure_tables(factors, _constants(factors, row))
+        tables = _transports(factors, mul)
+        images = inv0[tables[:, gens[:, None], gens[None, :]]]
+        orbit = {image.tobytes() for image in images.reshape(len(images), k * k)}
+        if not orbit <= raw:
+            raise RingError(
+                f"group {list(factors)}: an automorphic image of raw structure "
+                f"{row.tolist()} is not among the raw structures"
+            )
+        seen |= orbit
+        covered += len(orbit)
+        classes.append(_least(tables))
+    if covered != rows.shape[0]:
+        raise RingError(
+            f"group {list(factors)}: the automorphism orbits cover {covered} "
+            f"structures, but the search gave {rows.shape[0]} rows"
+        )
+    return classes
 
 
 @dataclass
@@ -463,11 +504,14 @@ def enumerate_rings(n: int, up_to_iso: bool = True,
                     budget_secs: Optional[float] = None) -> IsoClassCatalog:
     """Catalog of all rings of order n, optionally deduped by isomorphism.
 
-    Dedup keys each raw structure, in search order, on its group type and
-    canonical multiplication, minimized in the standard coordinates it was
-    expanded in (_canonical_mul, as canonical_form does once it has a basis);
-    the first of each class becomes representative o{n}_c{k:03d}, stored in
-    canonical tables.  isomorphic stays out of it, as the independent check.
+    Dedup walks the raw structures of each group type in search order and
+    takes the Aut(G)-orbit of each one not yet covered (_orbit_classes): two
+    structures on one group are isomorphic exactly when an automorphism of
+    the group carries one onto the other.  The first structure of each orbit
+    becomes representative o{n}_c{k:03d}, stored in canonical tables, the
+    least transported multiplication over the minimal group table (the
+    tables canonical_form gives).  isomorphic stays out of it, as the
+    independent check.
 
     The search is bounded by a wall-clock deadline budget_secs from the start
     (default time_budget_secs()); a search still running at the deadline
@@ -491,21 +535,19 @@ def enumerate_rings(n: int, up_to_iso: bool = True,
         (out_path / "parts").mkdir(parents=True, exist_ok=True)
         (out_path / "rings").mkdir(parents=True, exist_ok=True)
 
-    per_type_raw: dict[tuple[int, ...], int] = {}
     partition_log: list[dict] = []
-    raw_rings: list[tuple[tuple[int, ...], np.ndarray]] = []
+    raw_rows: dict[tuple[int, ...], np.ndarray] = {}
 
     partitions = [(factors, _partition_values(factors))
                   for factors in groups.abelian_group_types(n)]
     for factors, values in partitions:
         if not factors:  # order 1: just the zero ring
-            per_type_raw[factors] = 1
-            raw_rings.append((factors, np.zeros(0, dtype=np.int64)))
+            raw_rows[factors] = np.zeros((1, 0), dtype=np.int64)
             partition_log.append(
                 {"factors": [], "g11": None, "raw_count": 1, "status": "done"}
             )
             continue
-        total = 0
+        parts = []
         for v in values:
             part_name = f"t{'x'.join(map(str, factors))}_g{v:02d}.json"
             assignments = _load_part(out_path, part_name, manifest, factors, v)
@@ -522,36 +564,32 @@ def enumerate_rings(n: int, up_to_iso: bool = True,
                     ) from None
                 if out_path:
                     _save_part(out_path, part_name, factors, v, assignments)
-            total += assignments.shape[0]
+            parts.append(assignments)
             partition_log.append(
                 {"factors": list(factors), "g11": v,
                  "raw_count": int(assignments.shape[0]), "status": "done",
                  "file": f"parts/{part_name}"}
             )
-            for row in assignments:
-                raw_rings.append((factors, row))
-        per_type_raw[factors] = total
+        raw_rows[factors] = np.concatenate(parts)
 
-    raw_count = len(raw_rings)
+    per_type_raw = {factors: rows.shape[0] for factors, rows in raw_rows.items()}
+    raw_count = sum(per_type_raw.values())
+    reps = []
     if not up_to_iso:
-        reps = [
-            _expand_fast(factors, row, f"o{n}_r{i:04d}")
-            for i, (factors, row) in enumerate(raw_rings)
-        ]
+        # no validate: the search guarantees associativity, and bilinearity
+        # guarantees distributivity
+        for factors, rows in raw_rows.items():
+            add, muls = structure_tables(factors, _constants(factors, rows))
+            reps.extend(FiniteRing(add, mul, f"o{n}_r{len(reps):04d}")
+                        for mul in muls)
         catalog = IsoClassCatalog(n, reps, raw_count, None, per_type_raw, False)
         _flush_manifest(out_path, n, partition_log, complete=True, catalog=catalog)
         return catalog
 
-    # keyed on the group too: the zero rings on Z_4 and Z_2^2 share a mul
-    classes: dict[tuple, FiniteRing] = {}
-    for factors, row in raw_rings:
-        _, mul = structure_tables(factors, _constants(factors, row))
-        cmul = _canonical_mul(factors, mul)
-        key = (factors, cmul.tobytes())
-        if key not in classes:
-            classes[key] = FiniteRing(_min_group_table(factors)[0], cmul,
-                                      f"o{n}_c{len(classes):03d}")
-    reps = list(classes.values())
+    for factors, rows in raw_rows.items():
+        table = _min_group_table(factors)[0]
+        reps.extend(FiniteRing(table, cmul, f"o{n}_c{len(reps):03d}")
+                    for cmul in _orbit_classes(factors, rows))
     for r in reps:
         validate(r)
     catalog = IsoClassCatalog(n, reps, raw_count, len(reps), per_type_raw, True)

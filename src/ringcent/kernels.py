@@ -188,6 +188,14 @@ def distrib_check(A, M):
 # so constraints are re-attempted while filling.  The candidate lists below
 # guarantee each constraint is attempted at the depth where its last input
 # arrives.
+#
+# Both sides are computed on element indices through lookup tables built
+# once per search (_lookup_tables): with x = g_a g_b,
+# (g_a g_b) g_c = sum_m x_m (g_m g_c) folds the elements x_m * (g_m g_c)
+# with the group sum, and likewise for g_a (g_b g_c) = sum_m y_m (g_a g_m)
+# with y = g_b g_c.  A term whose cell is not filled yet must have a zero
+# coefficient for the constraint to be checkable.  Each constraint is
+# evaluated only on the rows of the slab that passed the ones before it.
 
 
 def constraint_candidates(k):
@@ -213,6 +221,29 @@ def constraint_candidates(k):
     return offs, np.concatenate(per_cell)
 
 
+def _lookup_tables(factors, coeff):
+    """Element-index tables of the group whose element x has coefficient
+    vector coeff[x]: add[x*n+y] = x + y, scale[m][x*n+y] = coeff[x, m] * y,
+    and zero[m][x] = (coeff[x, m] == 0)."""
+    n, k = coeff.shape
+    d = np.asarray(factors, dtype=np.int64)
+
+    def number(vectors):  # mixed radix: one number per coefficient vector
+        return np.ravel_multi_index(np.moveaxis(vectors % d, -1, 0), factors)
+
+    index = np.empty(n, dtype=np.int64)
+    index[number(coeff)] = np.arange(n)
+
+    def elements(vectors):
+        return index[number(vectors)].astype(np.int16).reshape(-1)
+
+    add = elements(coeff[:, None, :] + coeff[None, :, :])
+    scale = [elements(coeff[:, m, None, None] * coeff[None, :, :])
+             for m in range(k)]
+    zero = [coeff[:, m] == 0 for m in range(k)]
+    return add, scale, zero
+
+
 def structure_search(factors, coeff, allowed, deadline=None):
     """All associative generator-product assignments for one additive group.
 
@@ -231,14 +262,21 @@ def structure_search(factors, coeff, allowed, deadline=None):
 
     k = len(factors)
     kk = k * k
-    coeff = coeff.astype(np.int64)
-    d_row = np.asarray(factors, dtype=np.int64)[None, :]
+    coeff = np.asarray(coeff, dtype=np.int64)
+    n = coeff.shape[0]
+    add, scale, zero = _lookup_tables(factors, coeff)
+
+    def fold(total, term):
+        return term if total is None else add[total.astype(np.intp) * n + term]
+
     cand_off, cand_abc = constraint_candidates(k)
     frontier = np.zeros((1, 0), dtype=np.int16)
     nodes = 0
     for t in range(kk):
         vals = np.flatnonzero(allowed[t]).astype(np.int16)
-        cands = cand_abc[cand_off[t]:cand_off[t + 1]]
+        cands = [(a, b, c)
+                 for a, b, c in cand_abc[cand_off[t]:cand_off[t + 1]].tolist()
+                 if a * k + b <= t and b * k + c <= t]
         survivors = []
         for lo in range(0, frontier.shape[0], _BFS_CHUNK):
             if expired():
@@ -249,32 +287,30 @@ def structure_search(factors, coeff, allowed, deadline=None):
             ext[:, :t] = np.repeat(part, v, axis=0)
             ext[:, t] = np.tile(vals, w)
             nodes += ext.shape[0]
-            keep = np.ones(ext.shape[0], dtype=bool)
+            cells = ext.T.astype(np.intp)  # cells[t] = column t of the live rows
+            live = np.arange(ext.shape[0])
             for a, b, c in cands:
-                ab, bc = a * k + b, b * k + c
-                if ab > t or bc > t:
-                    continue
                 if expired():
                     return np.zeros((0, kk), dtype=np.int64), -1, nodes
-                vab = coeff[ext[:, ab]]
-                vbc = coeff[ext[:, bc]]
-                lhs = np.zeros((ext.shape[0], k), dtype=np.int64)
-                rhs = np.zeros_like(lhs)
-                checkable = np.ones(ext.shape[0], dtype=bool)
+                x, y = cells[a * k + b], cells[b * k + c]
+                xn, yn = x * n, y * n
+                lhs = rhs = None  # m = b gives each side a filled term
+                checkable = True
                 for m in range(k):
-                    mc = m * k + c
+                    mc, am = m * k + c, a * k + m
                     if mc <= t:
-                        lhs += vab[:, m:m + 1] * coeff[ext[:, mc]]
+                        lhs = fold(lhs, scale[m][xn + cells[mc]])
                     else:
-                        checkable &= vab[:, m] == 0
-                    am = a * k + m
+                        checkable = checkable & zero[m][x]
                     if am <= t:
-                        rhs += vbc[:, m:m + 1] * coeff[ext[:, am]]
+                        rhs = fold(rhs, scale[m][yn + cells[am]])
                     else:
-                        checkable &= vbc[:, m] == 0
-                mismatch = ((lhs - rhs) % d_row != 0).any(axis=1)
-                keep &= ~(checkable & mismatch)
-            survivors.append(ext[keep])
+                        checkable = checkable & zero[m][y]
+                bad = checkable & (lhs != rhs)
+                if bad.any():
+                    cells = cells[:, ~bad]
+                    live = live[~bad]
+            survivors.append(ext[live])
         frontier = (
             np.concatenate(survivors)
             if survivors

@@ -193,16 +193,21 @@ class RingSpec:
 def structure_tables(factors: tuple[int, ...],
                      constants) -> tuple[np.ndarray, np.ndarray]:
     """Addition and multiplication tables of Z_{d1} x ... x Z_{dk} with
-    generator products g_i g_j = sum_m constants[i][j][m] g_m."""
+    generator products g_i g_j = sum_m constants[i][j][m] g_m.  A stack of
+    constants, shape (r, k, k, k), gives a stack of r multiplication tables,
+    shape (r, n, n), over the one addition table."""
+    k = len(factors)
     d = np.array(factors, dtype=np.int64)
     C = np.asarray(constants, dtype=np.int64) % d  # coefficient m mod d_m
     add = groups.group_add_table(factors)
     cv = groups.coeff_vectors(factors)
+    n = cv.shape[0]
     w = np.array(groups.radix_weights(factors), dtype=np.int64)
-    # (sum a_i g_i)(sum b_j g_j) = sum_{i,j} a_i b_j (g_i g_j)
-    prod_vec = np.einsum("xi,yj,ijm->xym", cv, cv, C) % d
-    mul = (prod_vec * w).sum(axis=2)
-    return add, mul
+    # (sum a_i g_i)(sum b_j g_j) = sum_i a_i (sum_j b_j (g_i g_j))
+    stack = C.shape[:-3]
+    right = (cv @ C).reshape(*stack, k, n * k)  # [i, (y, m)]
+    prod_vec = (cv @ right).reshape(*stack, n, n, k) % d
+    return add, prod_vec @ w
 
 
 def _expand_structure(spec: RingSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,7 @@ import itertools
 import json
 import re
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from ringcent import (
     isomorphic,
     validate,
 )
+from ringcent.abelian import classify_additive
 from ringcent.enumeration import (
+    _constants,
     _min_group_automorphisms,
     _min_group_table,
     _partition_values,
@@ -34,6 +37,7 @@ from ringcent.enumeration import (
 )
 from ringcent.gallery import modular_ring, row_ring
 from ringcent.groups import abelian_group_types, group_add_table
+from ringcent.rings import structure_tables
 
 
 # --- isomorphism -------------------------------------------------------------
@@ -160,6 +164,46 @@ def test_min_group_automorphisms_are_every_table_automorphism():
     assert counts[(2, 2, 2)] == 168
     assert counts[(2, 4)] == 8
     assert counts[(8,)] == 4
+
+
+def test_burnside_counts_every_catalog_class(catalog):
+    # second route for every class count: the classes on one group G are the
+    # Aut(G)-orbits of its raw tables, and Burnside's lemma counts orbits as
+    # the mean number of tables an automorphism fixes
+    counts = {}
+    for n in range(2, 14):
+        by_type = Counter(classify_additive(R).invariant_factors
+                          for R in catalog(n).representatives)
+        for factors in abelian_group_types(n):
+            rows = raw_structures(factors)
+            _, muls = structure_tables(factors, _constants(factors, rows))
+            _, sigma = _min_group_table(factors)
+            inv0 = np.empty_like(sigma)
+            inv0[sigma] = np.arange(n)
+            auts = _min_group_automorphisms(factors)
+            fixed = 0
+            for aut in auts:
+                s = inv0[aut[sigma]]  # the automorphism in standard coordinates
+                fixed += (s[muls] == muls[:, s[:, None], s[None, :]]
+                          ).all(axis=(1, 2)).sum()
+            assert fixed % len(auts) == 0, factors
+            counts[factors] = fixed // len(auts)
+            assert counts[factors] == by_type[factors], factors
+    assert counts[(2, 2, 2)] == 28
+    assert counts[(2, 4)] == 20
+    assert counts[(2, 2)] == 8
+    assert counts[(2, 6)] == 16
+
+
+def test_stacked_expansion_equals_one_structure_at_a_time():
+    for factors in [(2, 2, 2), (2, 6), (9,)]:
+        rows = raw_structures(factors)
+        add, muls = structure_tables(factors, _constants(factors, rows))
+        assert muls.shape == (len(rows), add.shape[0], add.shape[0])
+        for row, mul in zip(rows[::7], muls[::7]):
+            one = structure_tables(factors, _constants(factors, row))
+            assert np.array_equal(one[0], add)
+            assert np.array_equal(one[1], mul)
 
 
 def test_raw_structures_canonicalize_onto_catalog_by_their_own_basis(catalog):
@@ -424,6 +468,26 @@ def test_resume_searches_damaged_parts_again(tmp_path, damage):
     assert part.read_text() == whole  # the partition was searched again
     for a, b in zip(fresh.representatives, again.representatives):
         assert np.array_equal(a.mul, b.mul)
+
+
+@pytest.mark.parametrize("part_of, message", [
+    (_largest_part, "is not among the raw structures"),
+    # the zero ring is a whole orbit: without it the orbits cover too few rows
+    (lambda out: out / "parts" / "t3x3_g00.json", "orbits cover 120"),
+], ids=["largest-part", "zero-ring-orbit"])
+def test_resume_refuses_rows_that_are_not_whole_orbits(tmp_path, part_of,
+                                                        message):
+    out = tmp_path / "cat9"
+    enumerate_rings(9, out_dir=str(out))
+    part = part_of(out)
+    doc = json.loads(part.read_text())
+    assert doc["assignments"][0] != doc["assignments"][1]
+    doc["assignments"][0] = doc["assignments"][1]  # the row count still matches
+    part.write_text(json.dumps(doc))
+    with pytest.raises(RingError, match=re.escape(f"group {doc['factors']}")) \
+            as exc:
+        enumerate_rings(9, out_dir=str(out), resume=True)
+    assert message in str(exc.value)
 
 
 def test_resume_without_out_dir_is_an_error():

@@ -4,10 +4,12 @@ the structure search (same rows, same order).  The law checks prove a valid
 table valid on its additive generators; the structural tests below pin that
 they do so without scanning triples."""
 
+import hashlib
 import itertools
 import time
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -289,7 +291,7 @@ def brute_force_structures(factors):
 
 
 def test_structure_search_matches_brute_force():
-    for factors in [(2,), (4,), (2, 2), (2, 4), (3, 3)]:
+    for factors in [(2,), (4,), (9,), (2, 2), (2, 4), (2, 6), (3, 3)]:
         cv, allowed = _search_inputs(factors)
         rows, status, _ = kernels.structure_search(factors, cv, allowed)
         assert status == 0
@@ -302,6 +304,21 @@ def test_structure_search_counts_on_z2_cubed():
         (2, 2, 2), cv, allowed, deadline=time.monotonic() + 3600
     )
     assert (rows.shape, status, nodes) == ((1688, 9), 0, 259352)
+
+
+@pytest.mark.parametrize("factors, shape, nodes, digest", [
+    ((16,), (16, 1), 16, "f23d672bb9b341f9"),
+    ((2, 8), (120, 4), 620, "4a83b21ff251e1cd"),
+    ((4, 4), (616, 4), 9616, "432ddb630ab35fd4"),
+    ((2, 2, 4), (4864, 9), 534544, "4f5a00b13a292b97"),
+], ids=["16", "2x8", "4x4", "2x2x4"])
+def test_structure_search_rows_pinned_on_order_16(factors, shape, nodes, digest):
+    # rows, their order and the node count, as the search has always given
+    cv, allowed = _search_inputs(factors)
+    rows, status, got = kernels.structure_search(factors, cv, allowed)
+    blob = rows.astype(np.int64).tobytes()
+    assert (rows.shape, status, got) == (shape, 0, nodes)
+    assert hashlib.sha256(blob).hexdigest()[:16] == digest
 
 
 def test_structure_search_stops_at_past_deadline():
