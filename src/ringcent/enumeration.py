@@ -228,6 +228,19 @@ def isomorphic(R1: FiniteRing, R2: FiniteRing, witness: bool = False):
 
 
 @lru_cache(maxsize=None)
+def _group_automorphisms(factors: tuple[int, ...]) -> np.ndarray:
+    """(count, n) array of every automorphism of groups.group_add_table:
+    row r maps standard index x to its image.  An automorphism is fixed by
+    the images of the standard generators, which form an additive basis, so
+    there is one row per basis _bases finds, read off by _coords_map."""
+    table = groups.group_add_table(factors)
+    G = FiniteRing(table, np.zeros_like(table), "G")
+    rows = np.stack([_coords_map(G, b, factors) for b in _bases(G, factors)])
+    rows.setflags(write=False)  # shared by every caller of the cache
+    return rows
+
+
+@lru_cache(maxsize=None)
 def _min_group_table(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Lex-min Cayley table of the group over relabelings fixing 0, plus one
     relabeling sigma: standard index -> minimal-table label achieving it.
@@ -238,6 +251,14 @@ def _min_group_table(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     label would lose at that very position.  Genuine branching happens only
     when a row-1 column operand is still unassigned; branches are explored in
     ascending entry order under branch-and-bound against the incumbent.
+
+    Branches are pruned by symmetry (McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 26, 1998): an automorphism fixing every
+    element labeled so far carries the subtree under candidate x onto the
+    subtree under its image, label for label, so only the first candidate of
+    each orbit of that pointwise stabilizer is explored.  A skipped subtree
+    can only tie with one explored before it, so the table and the first
+    minimal leaf, hence sigma, are those of the unpruned search.
     """
     Tm = groups.group_add_table(factors)
     n = Tm.shape[0]
@@ -256,7 +277,7 @@ def _min_group_table(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
                 return v
         return -1
 
-    def run(p, tied):
+    def run(p, tied, auts):
         best = state["best"]
         undo = []
         # fast-forward through positions whose operands are assigned
@@ -296,16 +317,25 @@ def _min_group_table(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
                 pi[j], rho[x] = -1, -1
                 scored.append((lab if lab >= 0 else fresh, x))
             scored.sort()
+            # explore one candidate per orbit of the automorphisms that fix
+            # every labeled element
+            if len(auts) > 1:
+                labeled = [e for e in pi if e >= 0]
+                auts = auts[(auts[:, labeled] == labeled).all(axis=1)]
+            explored: set[int] = set()
             for entry, x in scored:
                 if tied and state["best"] is not None and entry > state["best"][p]:
                     break  # scored is ascending: the rest only get worse
+                if x in explored:
+                    continue  # an automorphic image of an explored candidate
+                explored.update(auts[:, x].tolist())
                 pi[j], rho[x] = x, j
-                run(p, tied)
+                run(p, tied, auts)
                 pi[j], rho[x] = -1, -1
         for v, t in reversed(undo):
             pi[v], rho[t] = -1, -1
 
-    run(0, True)
+    run(0, True, _group_automorphisms(factors))
     sigma = np.array(state["best_rho"], dtype=np.int64)
     inv = _inverse(sigma)
     table = sigma[Tm[np.ix_(inv, inv)]]
@@ -314,12 +344,10 @@ def _min_group_table(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _min_group_automorphisms(factors: tuple[int, ...]) -> np.ndarray:
-    """(count, n) array of every automorphism of the minimal-table group."""
-    table, _ = _min_group_table(factors)
-    G = FiniteRing(table, np.zeros_like(table), "G_min")
-    # one isomorphism std -> G_min per basis; automorphisms are r o rows[0]^-1
-    rows = np.stack([_coords_map(G, b, factors) for b in _bases(G, factors)])
-    return rows[:, _inverse(rows[0])]
+    """(count, n) array of every automorphism of the minimal-table group:
+    sigma o a o sigma^-1 for each automorphism a of the standard table."""
+    _, sigma = _min_group_table(factors)
+    return sigma[_group_automorphisms(factors)[:, _inverse(sigma)]]
 
 
 def _transports(factors: tuple[int, ...], mul: np.ndarray) -> np.ndarray:

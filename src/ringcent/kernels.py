@@ -9,6 +9,8 @@ emits its rows in lexicographic order and can stop at a wall-clock deadline.
 """
 
 import time
+import weakref
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,25 +86,58 @@ def _generators(A):
     return np.array(gens, dtype=np.int64)
 
 
-def _associative_generators(A):
-    """Generators of A if A passes Light's associativity test on them, else
-    None."""
+# The proofs are cached by table content.  When validate runs the three law
+# kernels on one pair of tables, the generators are found and each law is
+# proved on them once; each kernel stays exact for any input given alone.
+
+
+class _Table:
+    """Table T as a cache key: hashed by its bytes and compared entry by
+    entry, holding only a weak reference to T, so a cache keeps no table
+    alive.  A table changed in place after a check hashes anew, so it is
+    proved again."""
+
+    __slots__ = ("ref", "_hash")
+
+    def __init__(self, T):
+        self.ref = weakref.ref(T)
+        self._hash = hash((T.shape, T.tobytes()))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        a, b = self.ref(), other.ref()
+        return (a is not None and b is not None and a.shape == b.shape
+                and bool((a == b).all()))
+
+
+@lru_cache(maxsize=1)
+def _associative_generators(a):
+    """Generators of table a if it passes Light's associativity test on
+    them, else None."""
+    A = a.ref()
     gens = _generators(A)
     if not np.array_equal(A[A[:, gens], :], A[:, A[gens, :]]):
         return None
+    gens.setflags(write=False)  # shared by every caller of the cache
     return gens
 
 
-def _distributes_left(A, M, gens):
-    """x(y+g) = xy + xg for every generator g and all x, y."""
-    return gens is not None and np.array_equal(
+@lru_cache(maxsize=1)
+def _distributes(a, m):
+    """(left, right): whether table m distributes over table a on each side,
+    proved on the generators of a; both False when a fails Light's test."""
+    gens = _associative_generators(a)
+    if gens is None:
+        return False, False
+    A, M = a.ref(), m.ref()
+    # x(y+g) = xy + xg and (y+g)x = yx + gx for every generator g, all x, y
+    left = np.array_equal(
         M[:, A[:, gens]], A[M[:, :, None], M[:, gens][:, None, :]])
-
-
-def _distributes_right(A, M, gens):
-    """(y+g)x = yx + gx for every generator g and all x, y."""
-    return gens is not None and np.array_equal(
+    right = np.array_equal(
         M[A[:, gens], :], A[M[:, None, :], M[gens][None, :, :]])
+    return left, right
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +159,7 @@ def add_table_check(A):
         up = sym[sym[:, 0] < sym[:, 1]]
         i, j = up[np.lexsort((up[:, 1], up[:, 0]))][0]
         return NONCOMMUTATIVE_ADD, int(i), int(j), -1
-    if _associative_generators(A) is None:
+    if _associative_generators(_Table(A)) is None:
         bad = _scan(NONASSOCIATIVE_ADD, n,
                     lambda rows: (A[A[rows, :], :], A[rows][:, A]))
         if bad:
@@ -142,8 +177,9 @@ def add_table_check(A):
 def mul_assoc_check(A, M):
     """First associativity failure in M, or (OK, -1, -1, -1).  The addition
     table A only serves the proof on generators."""
-    gens = _associative_generators(A)
-    if _distributes_left(A, M, gens) and _distributes_right(A, M, gens):
+    a = _Table(A)
+    if all(_distributes(a, _Table(M))):
+        gens = _associative_generators(a)
         prods = M[np.ix_(gens, gens)]
         if np.array_equal(M[prods][:, :, gens], M[gens][:, prods]):
             return _PASS
@@ -158,14 +194,14 @@ def mul_assoc_check(A, M):
 def distrib_check(A, M):
     """First distributivity failure of M over A, or (OK, -1, -1, -1)."""
     n = A.shape[0]
-    gens = _associative_generators(A)
-    if not _distributes_left(A, M, gens):
+    left, right = _distributes(_Table(A), _Table(M))
+    if not left:
         bad = _scan(NONDISTRIBUTIVE_LEFT, n, lambda rows: (
             M[rows][:, A],
             A[M[rows, :][:, :, None], M[rows, :][:, None, :]]))
         if bad:
             return bad
-    if not _distributes_right(A, M, gens):
+    if not right:
         bad = _scan(NONDISTRIBUTIVE_RIGHT, n, lambda rows: (
             M[A[rows, :], :],
             A[M[rows][:, None, :], M[None, :, :]]))

@@ -318,12 +318,19 @@ def set_sum(R: FiniteRing, A: ElementSet, B: ElementSet) -> ElementSet:
     return ElementSet.of(np.unique(sums), R.order)
 
 
+def _closed(table: np.ndarray, S: ElementSet) -> bool:
+    """True iff table[x, y] lies in S for all x, y in S."""
+    mask = np.zeros(table.shape[0], dtype=bool)
+    m = np.array(S.members, dtype=np.int64)
+    mask[m] = True
+    return bool(mask[table[np.ix_(m, m)]].all())
+
+
 def is_additive_subgroup(R: FiniteRing, S: ElementSet) -> bool:
+    """True iff S contains 0 and is closed under addition.  Negation needs
+    no check: in a finite group, such a set is a subgroup."""
     _require_same_ring(R, S)
-    if 0 not in S.members:
-        return False
-    m = np.array(S.members)
-    return bool(np.isin(R.add[np.ix_(m, m)], m).all())
+    return 0 in S.members and _closed(R.add, S)
 
 
 def index(R: FiniteRing, S: ElementSet) -> int:
@@ -334,16 +341,8 @@ def index(R: FiniteRing, S: ElementSet) -> int:
 
 
 def is_subring(R: FiniteRing, S: ElementSet) -> bool:
-    """True iff S contains 0 and is closed under add, neg, and mul."""
-    _require_same_ring(R, S)
-    if 0 not in S.members:
-        return False
-    m = np.array(S.members)
-    if not np.isin(R.add[np.ix_(m, m)], m).all():
-        return False
-    if not all(R.neg(x) in S.members for x in S.members):
-        return False
-    return bool(np.isin(R.mul[np.ix_(m, m)], m).all())
+    """True iff S is an additive subgroup closed under multiplication."""
+    return is_additive_subgroup(R, S) and _closed(R.mul, S)
 
 
 def _cyclic_steps(R: FiniteRing, b: int) -> list[int]:
@@ -406,4 +405,4 @@ def additive_subgroups(R: FiniteRing) -> list[ElementSet]:
 
 def subrings(R: FiniteRing) -> list[ElementSet]:
     """All subrings (additive subgroups closed under multiplication)."""
-    return [S for S in additive_subgroups(R) if is_subring(R, S)]
+    return [S for S in additive_subgroups(R) if _closed(R.mul, S)]

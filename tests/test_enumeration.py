@@ -35,7 +35,7 @@ from ringcent.enumeration import (
     search_n_centralizer,
     structure_to_ring,
 )
-from ringcent.gallery import modular_ring, row_ring
+from ringcent.gallery import direct_product, modular_ring, row_ring
 from ringcent.groups import abelian_group_types, group_add_table
 from ringcent.rings import structure_tables
 
@@ -133,6 +133,22 @@ def test_canonical_form_is_minimal_by_brute_force():
                 flat_best = key
         c = canonical_form(R)
         assert tuple(c.add.ravel()) + tuple(c.mul.ravel()) == flat_best
+
+
+def test_order_16_canonical_form_survives_relabeling_and_splits_a_mutant():
+    # additive group Z_2^4, with 20160 automorphisms
+    R = direct_product(row_ring(2), row_ring(2))
+    perm = np.concatenate([[0], 1 + np.random.default_rng(16).permutation(15)])
+    moved = R.relabel(perm)
+    mutant_mul = moved.mul.copy()
+    mutant_mul[1, 1] = (mutant_mul[1, 1] + 1) % 16
+    mutant = FiniteRing(moved.add, mutant_mul, "mutant")
+    form = canonical_form(R)
+    for S, same in ((moved, True), (mutant, False)):
+        other = canonical_form(S)
+        assert np.array_equal(other.add, form.add)
+        assert np.array_equal(other.mul, form.mul) == same
+        assert isomorphic(R, S) == same
 
 
 def test_canonical_form_equality_iff_isomorphic(catalog):
