@@ -95,10 +95,9 @@ def quotient_type(R: FiniteRing, S: ElementSet) -> AbelianGroupType:
     m = np.array(S.members)
     rep = R.add[:, m].min(axis=1)  # smallest index in the coset of each x
     reps = np.unique(rep)
-    pos = {int(r): i for i, r in enumerate(reps)}
     q = reps.shape[0]
-    table = np.zeros((q, q), dtype=np.int64)
-    for i, a in enumerate(reps):
-        table[i] = [pos[int(rep[R.add[a, b]])] for b in reps]
+    pos = np.zeros(n, dtype=np.int64)  # pos[r] = index of representative r
+    pos[reps] = np.arange(q)
+    table = pos[rep[R.add[np.ix_(reps, reps)]]]
     quotient = FiniteRing(table, np.zeros((q, q), dtype=np.int64), f"{R.label}/S")
     return classify_additive(quotient)

@@ -40,8 +40,11 @@ def cent_set(R: FiniteRing) -> list[ElementSet]:
     exactly one centralizer.
     """
     B = _commutation_matrix(R)
-    rows = np.unique(B, axis=0)
-    sets = [ElementSet.of(np.flatnonzero(row), R.order) for row in rows]
+    packed = np.packbits(B, axis=1)
+    _, first = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))),
+                         return_index=True)
+    sets = [ElementSet(tuple(np.flatnonzero(B[r]).tolist()), R.order)
+            for r in first]
     return sorted(sets, key=lambda s: s.members)
 
 

@@ -117,7 +117,9 @@ def _coords_map(R: FiniteRing, basis: tuple[int, ...],
     for i, b in enumerate(basis):
         steps = np.array(_cyclic_steps(R, b), dtype=np.int64)
         out = R.add[out, steps[cv[:, i]]]
-    assert len(set(out.tolist())) == R.order, "basis span is not direct"
+    reached = np.zeros(R.order, dtype=bool)
+    reached[out] = True
+    assert reached.all(), "basis span is not direct"
     return out
 
 

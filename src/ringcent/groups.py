@@ -43,15 +43,18 @@ def radix_weights(factors: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(w)
 
 
+@lru_cache(maxsize=None)
 def coeff_vectors(factors: tuple[int, ...]) -> np.ndarray:
-    """(n, k) array: row x is the digit vector of element x."""
+    """(n, k) array: row x is the digit vector of element x.  Built once per
+    group type and read-only, since every caller shares it."""
     k = len(factors)
     n = math.prod(factors)
-    out = np.zeros((n, max(k, 1)), dtype=np.int64)
+    out = np.zeros((n, k), dtype=np.int64)
     w = radix_weights(factors)
     for i in range(k):
         out[:, i] = (np.arange(n) // w[i]) % factors[i]
-    return out[:, :k] if k else np.zeros((1, 0), dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
 
 def encode(factors: tuple[int, ...], digits) -> int:

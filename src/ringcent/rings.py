@@ -88,16 +88,15 @@ class FiniteRing:
         return int(np.flatnonzero(self.add[x] == 0)[0])
 
     def additive_orders(self) -> np.ndarray:
-        """Additive order of every element, by walking the addition table."""
-        n = self.order
-        out = np.ones(n, dtype=np.int64)
-        for x in range(1, n):
-            y = x
-            t = 1
-            while y != 0:
-                y = int(self.add[y, x])
-                t += 1
-            out[x] = t
+        """Additive order of every element: all elements walk y -> y + x at
+        once, and an element leaves the walk when its y reaches 0."""
+        y = np.arange(self.order)
+        out = np.ones(self.order, dtype=np.int64)
+        live = np.flatnonzero(y)
+        while live.size:
+            y[live] = self.add[y[live], live]
+            out[live] += 1
+            live = live[y[live] != 0]
         return out
 
     def unity(self) -> Optional[int]:
@@ -185,9 +184,10 @@ class RingSpec:
             return RingSpec.from_json(json.load(fh))
 
     def save(self, path) -> None:
+        """Write the spec compact, on one line: without indentation json
+        runs its C encoder, several times faster on a 256-element table."""
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_json(), sort_keys=True) + "\n")
 
 
 def structure_tables(factors: tuple[int, ...],

@@ -1,5 +1,7 @@
 """Ring-core: validation, element sets, and additive-subgroup algebra."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from ringcent.rings import (
     additive_closure,
     additive_subgroups,
     is_additive_subgroup,
+    load_ring,
     subrings,
 )
 
@@ -44,6 +47,22 @@ def test_modular_ring_validates():
     )
     assert ring.is_commutative
     assert ring.unity() == 1
+
+
+def test_spec_is_saved_compact_and_indented_specs_still_load(tmp_path):
+    R = modular_ring(256)
+    compact = tmp_path / "compact.json"
+    R.spec().save(compact)
+    assert compact.read_text().count("\n") == 1
+    indented = tmp_path / "indented.json"
+    indented.write_text(
+        json.dumps(R.spec().to_json(), indent=1, sort_keys=True) + "\n")
+    assert json.loads(compact.read_text()) == json.loads(indented.read_text())
+    for path in (compact, indented):
+        loaded = load_ring(path)
+        assert np.array_equal(loaded.add, R.add)
+        assert np.array_equal(loaded.mul, R.mul)
+        assert loaded.label == R.label
 
 
 def test_four_element_matrix_ring_spec_is_noncommutative():
