@@ -25,8 +25,14 @@ def _resolve_ring(token: str, param=None) -> FiniteRing:
     if token.startswith("gallery:"):
         parts = token.split(":")
         name = parts[1]
-        p = int(parts[2]) if len(parts) > 2 else param
-        return gallery.by_name(name, p)
+        try:
+            p = int(parts[2]) if len(parts) > 2 else param
+        except ValueError:
+            raise RingError(f"gallery parameter in {token!r} is not an integer") from None
+        try:
+            return gallery.by_name(name, p)
+        except KeyError as exc:  # an unknown name
+            raise RingError(exc.args[0]) from None
     return load_ring(token)
 
 

@@ -230,126 +230,54 @@ def isomorphic(R1: FiniteRing, R2: FiniteRing, witness: bool = False):
 
 
 @lru_cache(maxsize=None)
-def _group_automorphisms(factors: tuple[int, ...]) -> np.ndarray:
-    """(count, n) array of every automorphism of groups.group_add_table:
-    row r maps standard index x to its image.  An automorphism is fixed by
-    the images of the standard generators, which form an additive basis, so
-    there is one row per basis _bases finds, read off by _coords_map."""
-    table = groups.group_add_table(factors)
-    G = FiniteRing(table, np.zeros_like(table), "G")
-    rows = np.stack([_coords_map(G, b, factors) for b in _bases(G, factors)])
-    rows.setflags(write=False)  # shared by every caller of the cache
-    return rows
-
-
-@lru_cache(maxsize=None)
 def _min_group_table(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Lex-min Cayley table of the group over relabelings fixing 0, plus one
     relabeling sigma: standard index -> minimal-table label achieving it.
 
-    Labels are assigned in order of first appearance while scanning the new
-    table row-major.  At each position the entry is either forced (the
-    operand sum is already labeled) or is the smallest free label: any larger
-    label would lose at that very position.  Genuine branching happens only
-    when a row-1 column operand is still unassigned; branches are explored in
-    ascending entry order under branch-and-bound against the incumbent.
+    The labels are mixed-radix digits, least significant first, along a
+    composition series of the group: the primes p in ascending order, and
+    for each p the Omega-layers l = 1, 2, ... from the bottom.  Layer l holds
+    one radix-p digit per invariant factor d_j divisible by p^l, for the
+    element (d_j // p^l) * g_j, the layer in ascending standard index.
 
-    Branches are pruned by symmetry (McKay, "Isomorph-free exhaustive
-    generation", J. Algorithms 26, 1998): an automorphism fixing every
-    element labeled so far carries the subtree under candidate x onto the
-    subtree under its image, label for label, so only the first candidate of
-    each orbit of that pointwise stabilizer is explored.  A skipped subtree
-    can only tie with one explored before it, so the table and the first
-    minimal leaf, hence sigma, are those of the unpruned search.
+    That this labeling is lex-min is checked, not proved: against every
+    relabeling for orders <= 8 (tests/test_min_group_golden.py), and against
+    the symmetry-pruned branch and bound this replaced, whose table and sigma
+    the golden records for every type of order <= 16 (all of
+    MAX_CANON_ORDER) and for (17,), (18,), (3, 6), (19,), (21,), (23,),
+    (25,), (5, 5) and (3, 3, 3).  Beyond those it is unproved.
     """
-    Tm = groups.group_add_table(factors)
-    n = Tm.shape[0]
-    T = Tm.tolist()
-    positions = [(i, j) for i in range(1, n) for j in range(1, n)]
-    last = len(positions)
-    pi = [-1] * n   # label -> old element
-    rho = [-1] * n  # old element -> label
-    pi[0] = rho[0] = 0
-    seq = [0] * last
-    state: dict = {"best": None, "best_rho": None}
-
-    def least_free(skip: int = -1) -> int:
-        for v in range(1, n):
-            if pi[v] < 0 and v != skip:
-                return v
-        return -1
-
-    def run(p, tied, auts):
-        best = state["best"]
-        undo = []
-        # fast-forward through positions whose operands are assigned
-        while p < last:
-            i, j = positions[p]
-            if pi[j] < 0:
-                break
-            s = T[pi[i]][pi[j]]
-            lab = rho[s]
-            if lab < 0:
-                lab = least_free()
-                pi[lab], rho[s] = s, lab
-                undo.append((lab, s))
-            if tied and best is not None:
-                w = best[p]
-                if lab > w:
-                    for v, t in reversed(undo):
-                        pi[v], rho[t] = -1, -1
-                    return
-                if lab < w:
-                    tied = False
-            seq[p] = lab
-            p += 1
-        if p == last:
-            if best is None or seq < best:
-                state["best"] = list(seq)
-                state["best_rho"] = list(rho)
-        else:
-            i, j = positions[p]
-            fresh = least_free(skip=j)
-            scored = []
-            for x in range(1, n):
-                if rho[x] >= 0:
-                    continue
-                pi[j], rho[x] = x, j
-                lab = rho[T[pi[i]][x]]
-                pi[j], rho[x] = -1, -1
-                scored.append((lab if lab >= 0 else fresh, x))
-            scored.sort()
-            # explore one candidate per orbit of the automorphisms that fix
-            # every labeled element
-            if len(auts) > 1:
-                labeled = [e for e in pi if e >= 0]
-                auts = auts[(auts[:, labeled] == labeled).all(axis=1)]
-            explored: set[int] = set()
-            for entry, x in scored:
-                if tied and state["best"] is not None and entry > state["best"][p]:
-                    break  # scored is ascending: the rest only get worse
-                if x in explored:
-                    continue  # an automorphic image of an explored candidate
-                explored.update(auts[:, x].tolist())
-                pi[j], rho[x] = x, j
-                run(p, tied, auts)
-                pi[j], rho[x] = -1, -1
-        for v, t in reversed(undo):
-            pi[v], rho[t] = -1, -1
-
-    run(0, True, _group_automorphisms(factors))
-    sigma = np.array(state["best_rho"], dtype=np.int64)
-    inv = _inverse(sigma)
-    table = sigma[Tm[np.ix_(inv, inv)]]
-    return table, sigma
+    T = groups.group_add_table(factors)
+    G = FiniteRing(T, np.zeros_like(T), "G")
+    w = groups.radix_weights(factors)
+    gens, radices = [], []
+    for p in sorted(groups.prime_factorization(math.prod(factors))):
+        l = 1
+        while any(d % p ** l == 0 for d in factors):
+            layer = sorted(d // p ** l * w[j] for j, d in enumerate(factors)
+                           if d % p ** l == 0)
+            gens += layer
+            radices += [p] * len(layer)
+            l += 1
+    inv = _coords_map(G, tuple(gens[::-1]), tuple(radices[::-1]))
+    sigma = _inverse(inv)
+    return sigma[T[np.ix_(inv, inv)]], sigma
 
 
 @lru_cache(maxsize=None)
 def _min_group_automorphisms(factors: tuple[int, ...]) -> np.ndarray:
     """(count, n) array of every automorphism of the minimal-table group:
-    sigma o a o sigma^-1 for each automorphism a of the standard table."""
+    sigma o a o sigma^-1 for each automorphism a of groups.group_add_table.
+    An automorphism a is fixed by the images of the standard generators,
+    which form an additive basis, so there is one per basis _bases finds,
+    read off by _coords_map."""
+    T = groups.group_add_table(factors)
+    G = FiniteRing(T, np.zeros_like(T), "G")
+    std = np.stack([_coords_map(G, b, factors) for b in _bases(G, factors)])
     _, sigma = _min_group_table(factors)
-    return sigma[_group_automorphisms(factors)[:, _inverse(sigma)]]
+    rows = sigma[std[:, _inverse(sigma)]]
+    rows.setflags(write=False)  # shared by every caller of the cache
+    return rows
 
 
 def _transports(factors: tuple[int, ...], mul: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from .errors import (
     NotAdditiveSubgroup,
     NotAssociative,
     NotDistributive,
+    RingError,
     TooLarge,
     ValidationError,
 )
@@ -158,15 +159,22 @@ class RingSpec:
 
     @staticmethod
     def from_json(doc: dict) -> "RingSpec":
-        if "add" in doc:
-            spec = RingSpec.explicit(doc["add"], doc["mul"], doc.get("label"))
-            if "order" in doc:
-                spec.order = doc["order"]
-            return spec
-        if "group" in doc:
-            return RingSpec.structure(
-                doc["group"], doc["mul_constants"], doc.get("label")
-            )
+        if not isinstance(doc, dict):
+            raise ValidationError("ring spec must be a JSON object")
+        try:
+            if "add" in doc:
+                spec = RingSpec.explicit(doc["add"], doc["mul"], doc.get("label"))
+                if "order" in doc:
+                    spec.order = doc["order"]
+                return spec
+            if "group" in doc:
+                return RingSpec.structure(
+                    doc["group"], doc["mul_constants"], doc.get("label")
+                )
+        except KeyError as exc:
+            raise ValidationError(f"ring spec is missing key {exc}") from None
+        except TypeError:
+            raise ValidationError("ring spec tables and group must be lists") from None
         raise ValidationError("ring spec needs either explicit tables or a group")
 
     def to_json(self) -> dict:
@@ -180,8 +188,14 @@ class RingSpec:
 
     @staticmethod
     def load(path) -> "RingSpec":
-        with open(path) as fh:
-            return RingSpec.from_json(json.load(fh))
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise RingError(f"cannot read {path}: {exc.strerror}") from None
+        except ValueError as exc:
+            raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+        return RingSpec.from_json(doc)
 
     def save(self, path) -> None:
         """Write the spec compact, on one line: without indentation json
@@ -210,15 +224,27 @@ def structure_tables(factors: tuple[int, ...],
     return add, prod_vec @ w
 
 
+def _int_array(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=np.int64)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"{what} is not a rectangular array of integers") from None
+
+
 def _expand_structure(spec: RingSpec) -> tuple[np.ndarray, np.ndarray]:
-    factors = tuple(int(d) for d in spec.group)
+    try:
+        factors = tuple(int(d) for d in spec.group)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            "group must be a list of integer generator orders") from None
     if any(d < 2 for d in factors):
         raise ValidationError("generator orders must all be >= 2")
     k = len(factors)
     n = math.prod(factors)
     if n > MAX_ORDER:
         raise TooLarge(f"structure-constant group has order {n} > {MAX_ORDER}")
-    C = np.asarray(spec.mul_constants, dtype=np.int64)
+    C = _int_array(spec.mul_constants, "mul_constants")
     if C.shape != (k, k, k):
         raise ValidationError(
             f"mul_constants must be {k}x{k} coefficient vectors of length {k}"
@@ -239,8 +265,8 @@ def validate(spec) -> FiniteRing:
     if isinstance(spec, FiniteRing):
         add, mul = spec.add, spec.mul
     elif spec.is_explicit:
-        add = np.asarray(spec.add, dtype=np.int64)
-        mul = np.asarray(spec.mul, dtype=np.int64)
+        add = _int_array(spec.add, "add")
+        mul = _int_array(spec.mul, "mul")
         if spec.order is not None and spec.order != add.shape[0]:
             raise ValidationError(
                 f"declared order {spec.order} != table size {add.shape[0]}"

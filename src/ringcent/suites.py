@@ -20,7 +20,7 @@ import numpy as np
 from . import gallery
 from .centralizers import CentReport, analyze, cent_set
 from .enumeration import cached_catalog, read_catalog
-from .errors import EmptyUniverse, UnknownSuite, ValidationError
+from .errors import EmptyUniverse, RingError, UnknownSuite, ValidationError
 from .groups import is_prime, prime_factorization, smallest_prime_divisor
 from .rings import ElementSet, FiniteRing, load_ring, subrings, validate
 
@@ -359,7 +359,10 @@ def load_universe(spec: str, max_order: int = 13,
     if spec == "gallery":
         return gallery.default_gallery(), "gallery"
     if spec == "catalog" or spec.startswith("catalog:"):
-        hi = int(spec.split(":", 1)[1]) if ":" in spec else max_order
+        try:
+            hi = int(spec.split(":", 1)[1]) if ":" in spec else max_order
+        except ValueError:
+            raise RingError(f"catalog order in {spec!r} is not an integer") from None
         rings: list[FiniteRing] = []
         for n in range(1, hi + 1):
             rings.extend(cached_catalog(n, budget_secs).representatives)

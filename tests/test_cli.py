@@ -71,6 +71,35 @@ def test_gallery_bad_param_exit_code(capsys):
     assert "NotPrime" in err
 
 
+MALFORMED_SPECS = {
+    "ragged": '{"add": [[0, 1], [1]], "mul": [[0, 0], [0, 0]]}',
+    "no_mul": '{"add": [[0, 1], [1, 0]]}',
+    "truncated": '{"add": [[0, 1], [1, 0]], "mul": [[0, 0],',
+    "bad_group": '{"group": [2, "x"], "mul_constants": []}',
+    "scalar_table": '{"add": 5, "mul": 5}',
+}
+
+
+BAD_INPUTS = {
+    **{name: ["inspect", f"{{dir}}/{name}.json"] for name in MALFORMED_SPECS},
+    "missing_file": ["inspect", "{dir}/missing.json"],
+    "catalog_abc": ["verify", "--universe", "catalog:abc"],
+    "gallery_param_x": ["inspect", "gallery:row_ring:x"],
+    "gallery_nosuch": ["inspect", "gallery:nosuch"],
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_INPUTS.values()), ids=list(BAD_INPUTS))
+def test_malformed_input_is_one_error_line_and_exit_2(tmp_path, capsys, argv):
+    for name, text in MALFORMED_SPECS.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    code = main([a.format(dir=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-1"])
 def test_bad_time_budget_env_exit_code(capsys, monkeypatch, raw):
     monkeypatch.setenv("RINGCENT_TIME_BUDGET_SECS", raw)

@@ -1,12 +1,13 @@
 """Golden of the lex-min group tables behind every canonical form.
 
-For each abelian group type of order 2..16 the golden records the sha256 of
-the `table` and of the `sigma` that `_min_group_table` returns, so a change
-to the search that picks another minimal leaf, or another table, shows.
-(16,) and (2,8) stay in the file but are not checked here: they cost about
-1.5 s each.  Regenerate with:
-
-    PYTHONPATH=src python tests/test_min_group_golden.py
+For each abelian group type of order 2..16, and for (17,), (18,), (3, 6),
+(19,), (21,), (23,), (25,), (5, 5) and (3, 3, 3), the golden records the
+sha256 of the `table` and of the `sigma` that `_min_group_table` returns, so
+a change that picks another minimal relabeling, or another table, shows.
+Every entry is the output of the symmetry-pruned branch and bound that
+searched for the lex-min table before the closed form replaced it.  The file
+is not regenerated from `_min_group_table`: a golden written by the code it
+checks would check nothing.
 """
 
 import hashlib
@@ -17,12 +18,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ringcent import groups
+from ringcent import groups, kernels
 from ringcent.enumeration import _min_group_table
 
 GOLDEN = Path(__file__).parent / "golden" / "min_group_tables.json"
+GOLDEN_TYPES = [tuple(int(d) for d in key.split("x"))
+                for key in sorted(json.loads(GOLDEN.read_text()))]
 TYPES = [f for n in range(2, 17) for f in groups.abelian_group_types(n)]
-UNCHECKED = {(16,), (2, 8)}
 
 
 def _key(factors: tuple[int, ...]) -> str:
@@ -36,8 +38,11 @@ def table_digest(factors: tuple[int, ...]) -> dict:
             for name, a in (("table", table), ("sigma", sigma))}
 
 
-@pytest.mark.parametrize(
-    "factors", [f for f in TYPES if f not in UNCHECKED], ids=_key)
+def test_golden_covers_every_type_up_to_16():
+    assert set(TYPES) <= set(GOLDEN_TYPES)
+
+
+@pytest.mark.parametrize("factors", GOLDEN_TYPES, ids=_key)
 def test_min_group_table_matches_golden(factors):
     expected = json.loads(GOLDEN.read_text())
     assert table_digest(factors) == expected[_key(factors)]
@@ -63,7 +68,13 @@ def test_min_group_table_is_lex_min_over_every_relabeling(factors):
     assert np.array_equal(sigma[T[np.ix_(inv, inv)]], table)
 
 
-if __name__ == "__main__":
-    doc = {_key(f): table_digest(f) for f in TYPES}
-    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+def test_min_group_table_relabels_every_group_up_to_256():
+    for n in range(1, 257):
+        for factors in groups.abelian_group_types(n):
+            T = groups.group_add_table(factors)
+            table, sigma = _min_group_table(factors)
+            assert sigma[0] == 0, factors
+            assert np.array_equal(np.sort(sigma), np.arange(n)), factors
+            inv = np.argsort(sigma)
+            assert np.array_equal(sigma[T[np.ix_(inv, inv)]], table), factors
+            assert kernels.add_table_check(table)[0] == kernels.OK, factors
