@@ -8,9 +8,12 @@ order, which is what validation error messages quote.  The structure search
 emits its rows in lexicographic order and can stop at a wall-clock deadline.
 """
 
+import itertools
 import time
 import weakref
 from functools import lru_cache
+from math import gcd
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -215,18 +218,34 @@ def distrib_check(A, M):
 #
 # A bilinear multiplication on Z_{d1} x ... x Z_{dk} is a choice of g_i*g_j
 # for every generator pair, i.e. k*k cells each holding a group element.
-# Cells are filled in row-major order, one breadth-first level per cell;
-# after each assignment every generator associativity constraint
-# (g_a g_b) g_c = g_a (g_b g_c) whose inputs are all available is evaluated,
-# pruning the row on a mismatch.  A constraint's inputs are cells (a,b),
-# (b,c), plus (m,c) for m in the support of g_a*g_b and (a,m) for m in the
-# support of g_b*g_c; the support-dependent cells make availability dynamic,
-# so constraints are re-attempted while filling.  The candidate lists below
-# guarantee each constraint is attempted at the depth where its last input
-# arrives.
+# The search fills one cell per breadth-first level and checks the generator
+# associativity constraints (g_a g_b) g_c = g_a (g_b g_c) as their inputs
+# arrive.  A constraint's inputs are cells (a,b), (b,c), plus (m,c) for m in
+# the support of g_a*g_b and (a,m) for m in the support of g_b*g_c.  So every
+# input lies in row a or column c, and a constraint is attempted at every
+# level whose cell is (a,b), (b,c) or in row a or column c, once (a,b) and
+# (b,c) are filled; the support-dependent inputs make availability differ
+# from row to row, and a row is pruned only where every input is filled.  At
+# the level of its last input a constraint is complete, so the rows left at
+# the end are exactly the associative assignments, whatever the order.
 #
-# Both sides are computed on element indices through lookup tables built
-# once per search (_lookup_tables): with x = g_a g_b,
+# Cells are filled constraint first (fail first; Haralick & Elliott, 1980):
+# the cells with one admissible value, then the row and column of the last
+# generator, then those of the one before it, and so on, row-major within
+# each group.  One lexsort restores row-major lexicographic order at the end.
+#
+# Forced cells (forward checking, same source): before a level is expanded,
+# a constraint in which the new cell z = g_i g_j appears only as a term, with
+# every other input known, reads s z = r, where s = [c==j] x_i - [a==i] y_j
+# for x = g_a g_b and y = g_b g_c, and r is the known right side minus the
+# known left side.  Every admissible value of the cell lies in the e-torsion,
+# e the exponent of the admissible values, and when s is a unit mod e no
+# value there but s^-1 r solves it: the row gets that one child if it is
+# admissible, else none.  Every child, forced or not, still passes every
+# check of its level.
+#
+# Both sides are computed on element indices through lookup tables built once
+# per group and fill order (_plan): with x = g_a g_b,
 # (g_a g_b) g_c = sum_m x_m (g_m g_c) folds the elements x_m * (g_m g_c)
 # with the group sum, and likewise for g_a (g_b g_c) = sum_m y_m (g_a g_m)
 # with y = g_b g_c.  A term whose cell is not filled yet must have a zero
@@ -234,33 +253,11 @@ def distrib_check(A, M):
 # evaluated only on the rows of the slab that passed the ones before it.
 
 
-def constraint_candidates(k):
-    """Per-cell candidate constraint triples.
-
-    Cell t = i*k+j can complete exactly those constraints (a,b,c) whose input
-    set meets it: inputs live in row a, column c, or are (a,b)/(b,c), so it
-    suffices to take every triple with a == i or c == j or (a,b) == t or
-    (b,c) == t.
-    """
-    offs = np.zeros(k * k + 1, dtype=np.int64)
-    per_cell = []
-    for t in range(k * k):
-        i, j = divmod(t, k)
-        lst = []
-        for a in range(k):
-            for b in range(k):
-                for c in range(k):
-                    if a == i or c == j or a * k + b == t or b * k + c == t:
-                        lst.append((a, b, c))
-        per_cell.append(np.array(lst, dtype=np.int64))
-        offs[t + 1] = offs[t] + len(lst)
-    return offs, np.concatenate(per_cell)
-
-
 def _lookup_tables(factors, coeff):
     """Element-index tables of the group whose element x has coefficient
     vector coeff[x]: add[x*n+y] = x + y, scale[m][x*n+y] = coeff[x, m] * y,
-    and zero[m][x] = (coeff[x, m] == 0)."""
+    zero[m][x] = (coeff[x, m] == 0), times[u*n+y] = u * y for u below the
+    exponent of the group, and neg[y] = -y."""
     n, k = coeff.shape
     d = np.asarray(factors, dtype=np.int64)
 
@@ -277,7 +274,128 @@ def _lookup_tables(factors, coeff):
     scale = [elements(coeff[:, m, None, None] * coeff[None, :, :])
              for m in range(k)]
     zero = [coeff[:, m] == 0 for m in range(k)]
-    return add, scale, zero
+    times = elements(np.arange(np.lcm.reduce(d))[:, None, None] * coeff)
+    neg = elements(-coeff).astype(np.intp)
+    return add, scale, zero, times, neg
+
+
+class _Constraint(NamedTuple):
+    """One constraint (a,b,c) at one level, on the filled columns: x, y are
+    the columns of g_a g_b and g_b g_c; lhs[m], rhs[m] the column of the term
+    cells (m,c) and (a,m), -1 when not filled, None for the new cell's term
+    in a forcing step; zi, zj the coordinates of x and y that multiply the new
+    cell (None where it is not a term on that side)."""
+
+    x: int
+    y: int
+    lhs: tuple
+    rhs: tuple
+    zi: Optional[int] = None
+    zj: Optional[int] = None
+
+
+class _Plan:
+    """What the search derives from the group and the fill order, built once
+    and shared by every search with that order (the g1*g1 partitions of one
+    group type): element-index lookup tables, the column of each cell, and
+    per level the constraints to check and to force with."""
+
+    def __init__(self, factors, coeff, order):
+        n, k = coeff.shape
+        d = np.asarray(factors, dtype=np.int64)
+        self.n, self.coeff = n, coeff
+        self.add, self.scale, self.zero, self.times, self.neg = _lookup_tables(
+            factors, coeff)
+        self.orders = np.lcm.reduce(d // np.gcd(d, coeff), axis=1)
+        exponent = int(np.lcm.reduce(d))
+        # inverses[e][s] = s^-1 mod e for a unit s, else 0
+        self.inverses = {
+            e: np.array([pow(s, -1, e) if gcd(s, e) == 1 else 0
+                         for s in range(e)])
+            for e in range(2, exponent + 1) if exponent % e == 0}
+
+        pos = {cell: col for col, cell in enumerate(order)}
+        self.pos = np.array([pos[t] for t in range(k * k)])
+
+        def terms(cells, level, skip):
+            return tuple(None if cell == skip
+                         else pos[cell] if pos[cell] <= level else -1
+                         for cell in cells)
+
+        self.checks, self.forcing = [], []
+        for p, t in enumerate(order):
+            i, j = divmod(t, k)
+            checks, forcing = [], []
+            for a, b, c in itertools.product(range(k), repeat=3):
+                ab, bc = pos[a * k + b], pos[b * k + c]
+                lhs_cells = [m * k + c for m in range(k)]
+                rhs_cells = [a * k + m for m in range(k)]
+                if ab <= p and bc <= p and (a == i or c == j or t in (
+                        a * k + b, b * k + c)):
+                    checks.append(_Constraint(ab, bc, terms(lhs_cells, p, None),
+                                              terms(rhs_cells, p, None)))
+                if ab < p and bc < p and (a == i or c == j):
+                    forcing.append(_Constraint(
+                        ab, bc, terms(lhs_cells, p - 1, t),
+                        terms(rhs_cells, p - 1, t),
+                        i if c == j else None, j if a == i else None))
+            self.checks.append(checks)
+            self.forcing.append(forcing)
+
+    def sides(self, cols, con):
+        """(lhs, rhs, ok) of constraint con on the rows whose filled columns
+        are cols: each side summed over its filled terms, and ok where every
+        unfilled term has a zero coefficient.  The new cell's term, in a
+        forcing step, is in neither."""
+        n, add = self.n, self.add
+        x, y = cols[con.x], cols[con.y]
+        sums, ok = [], True
+        for v, term_cols in ((x, con.lhs), (y, con.rhs)):
+            total = None
+            for m, col in enumerate(term_cols):
+                if col is None:
+                    continue
+                if col < 0:
+                    ok = ok & self.zero[m][v]
+                    continue
+                term = self.scale[m][v * n + cols[col]]
+                total = term if total is None else add[total.astype(np.intp) * n + term]
+            sums.append(total)  # the term m = b is always filled
+        return sums[0], sums[1], ok
+
+    def forced_values(self, cols, forcing, e, expired):
+        """Per row of cols, the one value a forcing constraint leaves the new
+        cell, or -1 where none forces it; None once `expired()` is true."""
+        coeff, inv = self.coeff, self.inverses[e]
+        w = cols.shape[1]
+        out = np.full(w, -1, dtype=np.intp)
+        pending = np.arange(w)
+        for con in forcing:
+            if not pending.size:
+                break
+            if expired():
+                return None
+            s = 0
+            if con.zi is not None:
+                s = coeff[cols[con.x], con.zi]
+            if con.zj is not None:
+                s = s - coeff[cols[con.y], con.zj]
+            lhs, rhs, ok = self.sides(cols, con)
+            u = inv[s % e]
+            hit = ok & (u > 0)
+            if not hit.any():
+                continue
+            r = self.add[rhs.astype(np.intp) * self.n + self.neg[lhs]]
+            out[pending[hit]] = self.times[u[hit] * self.n + r[hit]]
+            keep = ~hit
+            pending, cols = pending[keep], cols[:, keep]
+        return out
+
+
+@lru_cache(maxsize=8)
+def _plan(factors, coeff_bytes, order):
+    coeff = np.frombuffer(coeff_bytes, dtype=np.int64).reshape(-1, len(factors))
+    return _Plan(factors, coeff, order)
 
 
 def structure_search(factors, coeff, allowed, deadline=None):
@@ -288,70 +406,70 @@ def structure_search(factors, coeff, allowed, deadline=None):
     Returns (assignments, status, nodes) with the rows in lexicographic
     order.  `deadline` is a `time.monotonic()` value checked before every
     slab of _BFS_CHUNK partial assignments and before every constraint
-    evaluated on a slab, so a run overshoots it by at most one constraint
-    evaluation; once it has passed the search stops with status -1 and no
-    rows.  `nodes` counts the partial assignments built.
+    evaluated on a slab, forcing or checking, so a run overshoots it by at
+    most one constraint evaluation; once it has passed the search stops with
+    status -1 and no rows.  `nodes` counts the partial assignments built.
     """
 
     def expired():
         return deadline is not None and time.monotonic() >= deadline
 
+    def stopped():
+        return np.zeros((0, kk), dtype=np.int64), -1, nodes
+
+    factors = tuple(int(f) for f in factors)
     k = len(factors)
     kk = k * k
-    coeff = np.asarray(coeff, dtype=np.int64)
-    n = coeff.shape[0]
-    add, scale, zero = _lookup_tables(factors, coeff)
-
-    def fold(total, term):
-        return term if total is None else add[total.astype(np.intp) * n + term]
-
-    cand_off, cand_abc = constraint_candidates(k)
+    allowed = np.asarray(allowed).astype(bool)
+    counts = allowed.sum(axis=1)
+    order = tuple(sorted(range(kk), key=lambda t: (
+        counts[t] > 1, -max(divmod(t, k)), t)))
+    coeff = np.ascontiguousarray(coeff, dtype=np.int64)
+    plan = _plan(factors, coeff.tobytes(), order)
     frontier = np.zeros((1, 0), dtype=np.int16)
     nodes = 0
-    for t in range(kk):
+    for p, t in enumerate(order):
         vals = np.flatnonzero(allowed[t]).astype(np.int16)
-        cands = [(a, b, c)
-                 for a, b, c in cand_abc[cand_off[t]:cand_off[t + 1]].tolist()
-                 if a * k + b <= t and b * k + c <= t]
+        forcing = plan.forcing[p] if vals.size > 1 else []
+        e = int(np.lcm.reduce(plan.orders[vals])) if forcing else 0
         survivors = []
         for lo in range(0, frontier.shape[0], _BFS_CHUNK):
             if expired():
-                return np.zeros((0, kk), dtype=np.int64), -1, nodes
+                return stopped()
             part = frontier[lo:lo + _BFS_CHUNK]
+            children = []
+            if forcing:  # a forced row gets its one value, if admissible
+                z = plan.forced_values(part.T.astype(np.intp), forcing, e, expired)
+                if z is None:
+                    return stopped()
+                hit = z >= 0
+                fixed = hit & allowed[t, np.maximum(z, 0)]
+                children.append(
+                    np.column_stack((part[fixed], z[fixed])).astype(np.int16))
+                part = part[~hit]
             w, v = part.shape[0], vals.shape[0]
-            ext = np.empty((w * v, t + 1), dtype=np.int16)
-            ext[:, :t] = np.repeat(part, v, axis=0)
-            ext[:, t] = np.tile(vals, w)
+            child = np.empty((w * v, p + 1), dtype=np.int16)
+            child[:, :p] = np.repeat(part, v, axis=0)
+            child[:, p] = np.tile(vals, w)
+            ext = np.concatenate(children + [child])
             nodes += ext.shape[0]
-            cells = ext.T.astype(np.intp)  # cells[t] = column t of the live rows
+            cols = ext.T.astype(np.intp)  # cols[q] = column q of the live rows
             live = np.arange(ext.shape[0])
-            for a, b, c in cands:
+            for con in plan.checks[p]:
                 if expired():
-                    return np.zeros((0, kk), dtype=np.int64), -1, nodes
-                x, y = cells[a * k + b], cells[b * k + c]
-                xn, yn = x * n, y * n
-                lhs = rhs = None  # m = b gives each side a filled term
-                checkable = True
-                for m in range(k):
-                    mc, am = m * k + c, a * k + m
-                    if mc <= t:
-                        lhs = fold(lhs, scale[m][xn + cells[mc]])
-                    else:
-                        checkable = checkable & zero[m][x]
-                    if am <= t:
-                        rhs = fold(rhs, scale[m][yn + cells[am]])
-                    else:
-                        checkable = checkable & zero[m][y]
-                bad = checkable & (lhs != rhs)
+                    return stopped()
+                lhs, rhs, ok = plan.sides(cols, con)
+                bad = ok & (lhs != rhs)
                 if bad.any():
-                    cells = cells[:, ~bad]
+                    cols = cols[:, ~bad]
                     live = live[~bad]
             survivors.append(ext[live])
         frontier = (
             np.concatenate(survivors)
             if survivors
-            else np.zeros((0, t + 1), dtype=np.int16)
+            else np.zeros((0, p + 1), dtype=np.int16)
         )
         if frontier.shape[0] == 0:
             return np.zeros((0, kk), dtype=np.int64), 0, nodes
-    return frontier.astype(np.int64), 0, nodes
+    rows = frontier[:, plan.pos].astype(np.int64)
+    return rows[np.lexsort(rows.T[::-1])], 0, nodes

@@ -225,19 +225,23 @@ def structure_tables(factors: tuple[int, ...],
 
 
 def _int_array(value, what: str) -> np.ndarray:
+    """value as an int64 array, if it is a rectangular array of integers.
+    The dtype numpy infers tells, where an int64 conversion would truncate a
+    float such as 1.7."""
     try:
-        return np.asarray(value, dtype=np.int64)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"{what} is not a rectangular array of integers") from None
+        array = np.asarray(value)
+    except ValueError:  # ragged
+        array = None
+    if array is None or (array.size and array.dtype.kind not in "iu"):
+        raise ValidationError(f"{what} is not a rectangular array of integers")
+    return array.astype(np.int64, copy=False)
 
 
 def _expand_structure(spec: RingSpec) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        factors = tuple(int(d) for d in spec.group)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            "group must be a list of integer generator orders") from None
+    group = _int_array(spec.group, "group")
+    if group.ndim != 1:
+        raise ValidationError("group must be a list of integer generator orders")
+    factors = tuple(int(d) for d in group)
     if any(d < 2 for d in factors):
         raise ValidationError("generator orders must all be >= 2")
     k = len(factors)

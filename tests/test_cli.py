@@ -77,6 +77,9 @@ MALFORMED_SPECS = {
     "truncated": '{"add": [[0, 1], [1, 0]], "mul": [[0, 0],',
     "bad_group": '{"group": [2, "x"], "mul_constants": []}',
     "scalar_table": '{"add": 5, "mul": 5}',
+    "float_table": '{"add": [[0, 1.7], [1.2, 0]], "mul": [[0, 0], [0, 0]]}',
+    "float_group": '{"group": [2.5], "mul_constants": [[[0]]]}',
+    "float_constants": '{"group": [2], "mul_constants": [[[1.5]]]}',
 }
 
 

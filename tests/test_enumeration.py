@@ -317,12 +317,10 @@ def test_raw_count_invariant_under_generator_order():
 def test_partition_merge_equals_unpartitioned():
     from ringcent.enumeration import _partition_values
 
-    factors = (2, 2)
-    merged = [raw_structures(factors, g11=v) for v in _partition_values(factors)]
-    stacked = np.concatenate([m for m in merged if m.size], axis=0)
-    whole = raw_structures(factors)
-    assert np.array_equal(np.sort(stacked.ravel()), np.sort(whole.ravel()))
-    assert stacked.shape == whole.shape
+    for factors in [(2, 2), (2, 2, 2), (2, 2, 4)]:
+        merged = [raw_structures(factors, g11=v) for v in _partition_values(factors)]
+        # the partitions in g1*g1 order, stacked, are the whole search row for row
+        assert np.array_equal(np.concatenate(merged), raw_structures(factors)), factors
 
 
 def test_structure_to_ring_validates():

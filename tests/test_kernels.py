@@ -273,10 +273,11 @@ def test_distrib_first_failure_triple_matches():
 # structure search
 
 
-def brute_force_structures(factors):
+def brute_force_structures(factors, allowed=None):
     """Every allowed assignment, in lexicographic order, whose generator
     products satisfy (g_a g_b) g_c = g_a (g_b g_c) for all a, b, c."""
-    cv, allowed = _search_inputs(factors)
+    cv, torsion = _search_inputs(factors)
+    allowed = torsion if allowed is None else allowed
     k = len(factors)
     d = np.asarray(factors)
     choices = [np.flatnonzero(allowed[t]).tolist() for t in range(k * k)]
@@ -298,22 +299,36 @@ def test_structure_search_matches_brute_force():
         assert np.array_equal(rows, brute_force_structures(factors)), factors
 
 
+def test_structure_search_matches_brute_force_on_subsets_of_the_torsion():
+    # a forced value must still be admissible where a cell admits only part
+    # of its torsion subgroup
+    rng = np.random.default_rng(7)
+    for factors in [(4,), (9,), (2, 4), (2, 6), (3, 3)] * 4:
+        cv, torsion = _search_inputs(factors)
+        allowed = torsion & (rng.random(torsion.shape) < 0.6)
+        rows, status, _ = kernels.structure_search(factors, cv, allowed)
+        assert status == 0
+        assert np.array_equal(
+            rows, brute_force_structures(factors, allowed)), factors
+
+
 def test_structure_search_counts_on_z2_cubed():
     cv, allowed = _search_inputs((2, 2, 2))
     rows, status, nodes = kernels.structure_search(
         (2, 2, 2), cv, allowed, deadline=time.monotonic() + 3600
     )
-    assert (rows.shape, status, nodes) == ((1688, 9), 0, 259352)
+    assert (rows.shape, status, nodes) == ((1688, 9), 0, 28866)
 
 
 @pytest.mark.parametrize("factors, shape, nodes, digest", [
     ((16,), (16, 1), 16, "f23d672bb9b341f9"),
-    ((2, 8), (120, 4), 620, "4a83b21ff251e1cd"),
-    ((4, 4), (616, 4), 9616, "432ddb630ab35fd4"),
-    ((2, 2, 4), (4864, 9), 534544, "4f5a00b13a292b97"),
+    ((2, 8), (120, 4), 436, "4a83b21ff251e1cd"),
+    ((4, 4), (616, 4), 6208, "432ddb630ab35fd4"),
+    ((2, 2, 4), (4864, 9), 95740, "4f5a00b13a292b97"),
 ], ids=["16", "2x8", "4x4", "2x2x4"])
 def test_structure_search_rows_pinned_on_order_16(factors, shape, nodes, digest):
-    # rows, their order and the node count, as the search has always given
+    # rows and their order as the search has always given them, and the
+    # node count of the constraint-first order with forced cells
     cv, allowed = _search_inputs(factors)
     rows, status, got = kernels.structure_search(factors, cv, allowed)
     blob = rows.astype(np.int64).tobytes()
