@@ -72,38 +72,32 @@ def ring_fingerprint(R: FiniteRing) -> tuple:
     )
 
 
-def _bases(R: FiniteRing, factors: tuple[int, ...]):
-    """Every additive basis (b1..bk) of R: ord(bi) = di (the ascending
-    invariant factors) and the cyclic subgroups sum directly to all of (R, +).
+def additive_basis(R: FiniteRing) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """An additive basis (b1..bk) of R, with the invariant factors d1..dk:
+    ord(bi) = di and the cyclic subgroups sum directly to all of (R, +).
 
-    Searched largest order first, trying elements in index order; each basis
-    is yielded in ascending order to match the invariant factors.
+    Searched largest order first, trying elements in index order; the first
+    basis found is returned in ascending order to match the invariant factors.
     """
+    factors = classify_additive(R).invariant_factors
     desc = factors[::-1]
     orders = R.additive_orders()
-    basis: list[int] = []
 
-    def rec(span: set[int]):
-        i = len(basis)
-        if i == len(desc):
-            yield tuple(reversed(basis))
-            return
+    def rec(span: set[int], basis: tuple[int, ...]):
+        if len(basis) == len(desc):
+            return basis[::-1]
+        d = desc[len(basis)]
         for b in range(1, R.order):
-            if orders[b] != desc[i] or b in span:
+            if orders[b] != d or b in span:
                 continue
             bigger = join(R, span, b)
-            if len(bigger) == len(span) * desc[i]:
-                basis.append(b)
-                yield from rec(bigger)
-                basis.pop()
+            if len(bigger) == len(span) * d:
+                found = rec(bigger, basis + (b,))
+                if found is not None:
+                    return found
+        return None
 
-    yield from rec({0})
-
-
-def additive_basis(R: FiniteRing) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The first basis _bases finds, with the invariant factors."""
-    factors = classify_additive(R).invariant_factors
-    basis = next(_bases(R, factors), None)
+    basis = rec({0}, ())
     if basis is None:
         raise AssertionError(f"no additive basis found for {R.label}")
     return basis, factors
@@ -238,7 +232,9 @@ def _min_group_table(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     composition series of the group: the primes p in ascending order, and
     for each p the Omega-layers l = 1, 2, ... from the bottom.  Layer l holds
     one radix-p digit per invariant factor d_j divisible by p^l, for the
-    element (d_j // p^l) * g_j, the layer in ascending standard index.
+    element (d_j // p^l) * g_j, the layer in ascending standard index.  The
+    element with label digits c is c times the coefficient vectors of those
+    elements, one product mod d.
 
     That this labeling is lex-min is checked, not proved: against every
     relabeling for orders <= 8 (tests/test_min_group_golden.py), and against
@@ -248,7 +244,6 @@ def _min_group_table(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     (25,), (5, 5) and (3, 3, 3).  Beyond those it is unproved.
     """
     T = groups.group_add_table(factors)
-    G = FiniteRing(T, np.zeros_like(T), "G")
     w = groups.radix_weights(factors)
     gens, radices = [], []
     for p in sorted(groups.prime_factorization(math.prod(factors))):
@@ -259,7 +254,8 @@ def _min_group_table(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
             gens += layer
             radices += [p] * len(layer)
             l += 1
-    inv = _coords_map(G, tuple(gens[::-1]), tuple(radices[::-1]))
+    labels = groups.coeff_vectors(tuple(radices[::-1]))
+    inv = groups.encode(factors, labels @ groups.coeff_vectors(factors)[gens[::-1]])
     sigma = _inverse(inv)
     return sigma[T[np.ix_(inv, inv)]], sigma
 
@@ -268,12 +264,21 @@ def _min_group_table(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 def _min_group_automorphisms(factors: tuple[int, ...]) -> np.ndarray:
     """(count, n) array of every automorphism of the minimal-table group:
     sigma o a o sigma^-1 for each automorphism a of groups.group_add_table.
-    An automorphism a is fixed by the images of the standard generators,
-    which form an additive basis, so there is one per basis _bases finds,
-    read off by _coords_map."""
-    T = groups.group_add_table(factors)
-    G = FiniteRing(T, np.zeros_like(T), "G")
-    std = np.stack([_coords_map(G, b, factors) for b in _bases(G, factors)])
+
+    An automorphism a is fixed by the images x_i of the generators g_i: each
+    x_i lies in the d_i-torsion, and a sends coefficient vector c to
+    sum c_i x_i mod d.  The maps are built one generator at a time, keeping
+    those injective on <g_1..g_i>; every map left after the last generator
+    is a bijection, so an automorphism, and every automorphism is left."""
+    cv = groups.coeff_vectors(factors)
+    images = np.zeros((1, 0, len(factors)), dtype=np.int64)  # x_1..x_i per map
+    for i, d in enumerate(factors):
+        x = cv[groups.torsion_mask(factors, d)]
+        images = np.concatenate((np.repeat(images, len(x), axis=0),
+                                 np.tile(x, (len(images), 1))[:, None, :]), axis=1)
+        span = groups.encode(factors, groups.coeff_vectors(factors[:i + 1]) @ images)
+        images = images[(np.diff(np.sort(span), axis=1) != 0).all(axis=1)]
+    std = groups.encode(factors, cv @ images)
     _, sigma = _min_group_table(factors)
     rows = sigma[std[:, _inverse(sigma)]]
     rows.setflags(write=False)  # shared by every caller of the cache
@@ -281,9 +286,10 @@ def _min_group_automorphisms(factors: tuple[int, ...]) -> np.ndarray:
 
 
 def _transports(factors: tuple[int, ...], mul: np.ndarray) -> np.ndarray:
-    """(count, n, n) stack: `mul`, given in standard coordinates, relabeled
-    onto the minimal group table of `factors` and transported by each of its
-    automorphisms, in the order of _min_group_automorphisms."""
+    """(count, n, n) stack: `mul`, given in standard coordinates (the
+    encoding of groups.coeff_vectors), relabeled onto the minimal group table
+    of `factors` and transported by each of its automorphisms, in the order
+    of _min_group_automorphisms.  No caller depends on that order."""
     _, sigma = _min_group_table(factors)
     inv0 = _inverse(sigma)
     M0 = sigma[mul[np.ix_(inv0, inv0)]]
@@ -315,17 +321,10 @@ def canonical_form(R: FiniteRing) -> FiniteRing:
 # structure-constant enumeration
 
 
-def _search_inputs(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    cv = groups.coeff_vectors(factors)
-    k = len(factors)
-    n = cv.shape[0]
-    allowed = np.zeros((k * k, n), dtype=np.uint8)
-    for i in range(k):
-        for j in range(k):
-            allowed[i * k + j] = groups.torsion_mask(
-                factors, gcd(factors[i], factors[j])
-            )
-    return cv, allowed
+def _search_inputs(factors: tuple[int, ...]) -> np.ndarray:
+    """(k*k, n) 0/1 mask: g_i*g_j lies in the gcd(d_i, d_j)-torsion."""
+    masks = [groups.torsion_mask(factors, gcd(a, b)) for a in factors for b in factors]
+    return np.array(masks, dtype=np.uint8).reshape(-1, math.prod(factors))
 
 
 def raw_structures(factors: tuple[int, ...], g11: Optional[int] = None,
@@ -338,14 +337,14 @@ def raw_structures(factors: tuple[int, ...], g11: Optional[int] = None,
     nodes searched.
     """
     factors = tuple(int(d) for d in factors)
-    cv, allowed = _search_inputs(factors)
+    allowed = _search_inputs(factors)
     if g11 is not None:
         mask = np.zeros_like(allowed[0])
         mask[g11] = allowed[0, g11]
         allowed = allowed.copy()
         allowed[0] = mask
     assignments, status, nodes = kernels.structure_search(
-        factors, cv, allowed, deadline
+        factors, allowed, deadline
     )
     if status != 0:
         raise PartialUniverse(
@@ -435,8 +434,7 @@ class IsoClassCatalog:
 def _partition_values(factors: tuple[int, ...]) -> list[int]:
     if not factors:
         return []
-    _, allowed = _search_inputs(factors)
-    return [int(v) for v in np.flatnonzero(allowed[0])]
+    return [int(v) for v in np.flatnonzero(_search_inputs(factors)[0])]
 
 
 def time_budget_secs() -> float:
@@ -633,17 +631,20 @@ def _flush_manifest(out_path, n, partition_log, complete, catalog=None) -> None:
 def read_catalog(path) -> IsoClassCatalog:
     """Load a catalog directory written by enumerate_rings(out_dir=...)."""
     path = Path(path)
-    with open(path / "manifest.json") as fh:
-        doc = json.load(fh)
+    try:
+        doc = json.loads((path / "manifest.json").read_text())
+        order = int(doc["order"])
+        files = [path / rel for rel in doc.get("rings", [])]
+        per_type = {() if key == "1" else tuple(int(x) for x in key.split("x")): count
+                    for key, count in doc.get("per_type_raw", {}).items()}
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise RingError(f"catalog at {path}: manifest.json is missing or "
+                        f"malformed ({exc.__class__.__name__}: {exc})") from None
     if not doc.get("complete"):
         raise PartialUniverse(f"catalog at {path} is incomplete")
-    reps = [validate(RingSpec.load(path / rel)) for rel in doc.get("rings", [])]
-    per_type = {}
-    for key, count in doc.get("per_type_raw", {}).items():
-        factors = () if key == "1" else tuple(int(x) for x in key.split("x"))
-        per_type[factors] = count
+    reps = [validate(RingSpec.load(file)) for file in files]
     return IsoClassCatalog(
-        doc["order"], reps, doc.get("raw_total", 0), doc.get("classes"),
+        order, reps, doc.get("raw_total", 0), doc.get("classes"),
         per_type, True,
     )
 
@@ -655,21 +656,20 @@ def read_catalog(path) -> IsoClassCatalog:
 _catalog_cache: dict[int, IsoClassCatalog] = {}
 
 
-def cached_catalog(n: int, budget_secs: Optional[float] = None) -> IsoClassCatalog:
+def cached_catalog(n: int) -> IsoClassCatalog:
     if n not in _catalog_cache:
-        _catalog_cache[n] = enumerate_rings(n, True, budget_secs=budget_secs)
+        _catalog_cache[n] = enumerate_rings(n, True)
     return _catalog_cache[n]
 
 
-def search_n_centralizer(target: int, max_order: int,
-                         budget_secs: Optional[float] = None) -> list[FiniteRing]:
+def search_n_centralizer(target: int, max_order: int) -> list[FiniteRing]:
     """All catalog representatives with exactly target distinct centralizers
     and order <= max_order.  An empty answer is meaningful."""
     if max_order > MAX_ENUM_ORDER:
         raise TooLarge(f"search is capped at order {MAX_ENUM_ORDER}")
     hits = []
     for n in range(1, max_order + 1):
-        for ring in cached_catalog(n, budget_secs):
+        for ring in cached_catalog(n):
             if len(cent_set(ring)) == target:
                 hits.append(ring)
     return hits

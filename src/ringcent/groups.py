@@ -57,9 +57,12 @@ def coeff_vectors(factors: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def encode(factors: tuple[int, ...], digits) -> int:
-    w = radix_weights(factors)
-    return int(sum((int(c) % d) * wi for c, d, wi in zip(digits, factors, w)))
+def encode(factors: tuple[int, ...], vectors) -> np.ndarray:
+    """Index of each coefficient vector along the last axis of `vectors`,
+    digit i taken mod d_i: the inverse of coeff_vectors."""
+    d = np.array(factors, dtype=np.int64)
+    w = np.array(radix_weights(factors), dtype=np.int64)
+    return (np.asarray(vectors, dtype=np.int64) % d) @ w
 
 
 def group_add_table(factors: tuple[int, ...]) -> np.ndarray:
@@ -69,10 +72,7 @@ def group_add_table(factors: tuple[int, ...]) -> np.ndarray:
     if not factors:
         return np.zeros((1, 1), dtype=np.int64)
     cv = coeff_vectors(factors)
-    d = np.array(factors, dtype=np.int64)
-    w = np.array(radix_weights(factors), dtype=np.int64)
-    sums = (cv[:, None, :] + cv[None, :, :]) % d
-    return (sums * w).sum(axis=2)
+    return encode(factors, cv[:, None, :] + cv[None, :, :])
 
 
 def _partitions(n: int) -> list[tuple[int, ...]]:

@@ -12,10 +12,12 @@ import itertools
 import time
 import weakref
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 import numpy as np
+
+from . import groups
 
 OK = 0
 BAD_IDENTITY = 1
@@ -245,7 +247,9 @@ def distrib_check(A, M):
 # check of its level.
 #
 # Both sides are computed on element indices through lookup tables built once
-# per group and fill order (_plan): with x = g_a g_b,
+# per group and fill order (_plan), in the standard encoding of
+# groups.coeff_vectors, which reads an element's index off its coefficient
+# vector with one product by the radix weights: with x = g_a g_b,
 # (g_a g_b) g_c = sum_m x_m (g_m g_c) folds the elements x_m * (g_m g_c)
 # with the group sum, and likewise for g_a (g_b g_c) = sum_m y_m (g_a g_m)
 # with y = g_b g_c.  A term whose cell is not filled yet must have a zero
@@ -253,28 +257,22 @@ def distrib_check(A, M):
 # evaluated only on the rows of the slab that passed the ones before it.
 
 
-def _lookup_tables(factors, coeff):
-    """Element-index tables of the group whose element x has coefficient
-    vector coeff[x]: add[x*n+y] = x + y, scale[m][x*n+y] = coeff[x, m] * y,
-    zero[m][x] = (coeff[x, m] == 0), times[u*n+y] = u * y for u below the
-    exponent of the group, and neg[y] = -y."""
-    n, k = coeff.shape
-    d = np.asarray(factors, dtype=np.int64)
-
-    def number(vectors):  # mixed radix: one number per coefficient vector
-        return np.ravel_multi_index(np.moveaxis(vectors % d, -1, 0), factors)
-
-    index = np.empty(n, dtype=np.int64)
-    index[number(coeff)] = np.arange(n)
+def _lookup_tables(factors):
+    """Element-index tables of the group, with x_m the m-th coefficient of
+    element x: add[x*n+y] = x + y, scale[m][x*n+y] = x_m * y,
+    zero[m][x] = (x_m == 0), times[u*n+y] = u * y for u below the exponent
+    of the group, and neg[y] = -y."""
+    coeff = groups.coeff_vectors(factors)
+    k = len(factors)
 
     def elements(vectors):
-        return index[number(vectors)].astype(np.int16).reshape(-1)
+        return groups.encode(factors, vectors).astype(np.int16).reshape(-1)
 
     add = elements(coeff[:, None, :] + coeff[None, :, :])
     scale = [elements(coeff[:, m, None, None] * coeff[None, :, :])
              for m in range(k)]
     zero = [coeff[:, m] == 0 for m in range(k)]
-    times = elements(np.arange(np.lcm.reduce(d))[:, None, None] * coeff)
+    times = elements(np.arange(lcm(*factors))[:, None, None] * coeff)
     neg = elements(-coeff).astype(np.intp)
     return add, scale, zero, times, neg
 
@@ -300,12 +298,13 @@ class _Plan:
     group type): element-index lookup tables, the column of each cell, and
     per level the constraints to check and to force with."""
 
-    def __init__(self, factors, coeff, order):
+    def __init__(self, factors, order):
+        coeff = groups.coeff_vectors(factors)
         n, k = coeff.shape
         d = np.asarray(factors, dtype=np.int64)
         self.n, self.coeff = n, coeff
         self.add, self.scale, self.zero, self.times, self.neg = _lookup_tables(
-            factors, coeff)
+            factors)
         self.orders = np.lcm.reduce(d // np.gcd(d, coeff), axis=1)
         exponent = int(np.lcm.reduce(d))
         # inverses[e][s] = s^-1 mod e for a unit s, else 0
@@ -393,16 +392,16 @@ class _Plan:
 
 
 @lru_cache(maxsize=8)
-def _plan(factors, coeff_bytes, order):
-    coeff = np.frombuffer(coeff_bytes, dtype=np.int64).reshape(-1, len(factors))
-    return _Plan(factors, coeff, order)
+def _plan(factors, order):
+    return _Plan(factors, order)
 
 
-def structure_search(factors, coeff, allowed, deadline=None):
+def structure_search(factors, allowed, deadline=None):
     """All associative generator-product assignments for one additive group.
 
-    `factors` are the generator orders, `coeff[x]` the coefficient vector of
-    element x, `allowed[cell, x]` a 0/1 mask of admissible products per cell.
+    `factors` are the generator orders, elements are encoded as in
+    groups.coeff_vectors, and `allowed[cell, x]` is a 0/1 mask of admissible
+    products per cell.
     Returns (assignments, status, nodes) with the rows in lexicographic
     order.  `deadline` is a `time.monotonic()` value checked before every
     slab of _BFS_CHUNK partial assignments and before every constraint
@@ -424,8 +423,7 @@ def structure_search(factors, coeff, allowed, deadline=None):
     counts = allowed.sum(axis=1)
     order = tuple(sorted(range(kk), key=lambda t: (
         counts[t] > 1, -max(divmod(t, k)), t)))
-    coeff = np.ascontiguousarray(coeff, dtype=np.int64)
-    plan = _plan(factors, coeff.tobytes(), order)
+    plan = _plan(factors, order)
     frontier = np.zeros((1, 0), dtype=np.int16)
     nodes = 0
     for p, t in enumerate(order):

@@ -216,12 +216,10 @@ def structure_tables(factors: tuple[int, ...],
     add = groups.group_add_table(factors)
     cv = groups.coeff_vectors(factors)
     n = cv.shape[0]
-    w = np.array(groups.radix_weights(factors), dtype=np.int64)
     # (sum a_i g_i)(sum b_j g_j) = sum_i a_i (sum_j b_j (g_i g_j))
     stack = C.shape[:-3]
     right = (cv @ C).reshape(*stack, k, n * k)  # [i, (y, m)]
-    prod_vec = (cv @ right).reshape(*stack, n, n, k) % d
-    return add, prod_vec @ w
+    return add, groups.encode(factors, (cv @ right).reshape(*stack, n, n, k))
 
 
 def _int_array(value, what: str) -> np.ndarray:

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import gallery
 from .centralizers import CentReport, analyze, cent_set
-from .enumeration import cached_catalog, read_catalog
-from .errors import EmptyUniverse, RingError, UnknownSuite, ValidationError
+from .enumeration import MAX_ENUM_ORDER, cached_catalog, read_catalog
+from .errors import EmptyUniverse, RingError, TooLarge, UnknownSuite, ValidationError
 from .groups import is_prime, prime_factorization, smallest_prime_divisor
 from .rings import ElementSet, FiniteRing, load_ring, subrings, validate
 
@@ -351,9 +351,7 @@ def run_suite(suite_id: str, universe: Iterable[FiniteRing],
 # --- universes -------------------------------------------------------------
 
 
-def load_universe(spec: str, max_order: int = 13,
-                  budget_secs: Optional[float] = None
-                  ) -> tuple[list[FiniteRing], str]:
+def load_universe(spec: str, max_order: int = 13) -> tuple[list[FiniteRing], str]:
     """Materialize a universe: "gallery", "catalog[:N]", a catalog directory,
     or a single RingSpec file."""
     if spec == "gallery":
@@ -363,9 +361,11 @@ def load_universe(spec: str, max_order: int = 13,
             hi = int(spec.split(":", 1)[1]) if ":" in spec else max_order
         except ValueError:
             raise RingError(f"catalog order in {spec!r} is not an integer") from None
+        if hi > MAX_ENUM_ORDER:
+            raise TooLarge(f"catalog universe is capped at order {MAX_ENUM_ORDER}")
         rings: list[FiniteRing] = []
         for n in range(1, hi + 1):
-            rings.extend(cached_catalog(n, budget_secs).representatives)
+            rings.extend(cached_catalog(n).representatives)
         return rings, f"catalog orders 1..{hi}"
     path = Path(spec)
     if path.is_dir():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -83,8 +84,22 @@ MALFORMED_SPECS = {
 }
 
 
+# catalog directories whose manifest.json is absent (None), not JSON, JSON
+# without an order, or with a listing of the wrong shape
+MALFORMED_MANIFESTS = {
+    "no_manifest": None,
+    "truncated_manifest": '{"order": 4, "complete": tr',
+    "list_manifest": "[1, 2]",
+    "orderless_manifest": '{"complete": true, "rings": []}',
+    "bad_type_manifest": '{"order": 4, "complete": true, "per_type_raw": {"2xa": 1}}',
+    "scalar_rings_manifest": '{"order": 4, "complete": true, "rings": 5}',
+}
+
+
 BAD_INPUTS = {
     **{name: ["inspect", f"{{dir}}/{name}.json"] for name in MALFORMED_SPECS},
+    **{name: ["verify", "--universe", f"{{dir}}/{name}"]
+       for name in MALFORMED_MANIFESTS},
     "missing_file": ["inspect", "{dir}/missing.json"],
     "catalog_abc": ["verify", "--universe", "catalog:abc"],
     "gallery_param_x": ["inspect", "gallery:row_ring:x"],
@@ -96,11 +111,24 @@ BAD_INPUTS = {
 def test_malformed_input_is_one_error_line_and_exit_2(tmp_path, capsys, argv):
     for name, text in MALFORMED_SPECS.items():
         (tmp_path / f"{name}.json").write_text(text)
+    for name, text in MALFORMED_MANIFESTS.items():
+        (tmp_path / name).mkdir()
+        if text is not None:
+            (tmp_path / name / "manifest.json").write_text(text)
     code = main([a.format(dir=tmp_path) for a in argv])
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_catalog_universe_above_the_cap_fails_before_searching(capsys):
+    start = time.monotonic()
+    code = main(["verify", "--universe", "catalog:17"])
+    err = capsys.readouterr().err
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert err.startswith("error: TooLarge: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-1"])

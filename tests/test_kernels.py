@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from ringcent import kernels, rings
 from ringcent.enumeration import _search_inputs
+from ringcent.groups import coeff_vectors
 from ringcent.gallery import (
     default_gallery,
     four_element_matrix_ring,
@@ -276,8 +277,8 @@ def test_distrib_first_failure_triple_matches():
 def brute_force_structures(factors, allowed=None):
     """Every allowed assignment, in lexicographic order, whose generator
     products satisfy (g_a g_b) g_c = g_a (g_b g_c) for all a, b, c."""
-    cv, torsion = _search_inputs(factors)
-    allowed = torsion if allowed is None else allowed
+    cv = coeff_vectors(factors)
+    allowed = _search_inputs(factors) if allowed is None else allowed
     k = len(factors)
     d = np.asarray(factors)
     choices = [np.flatnonzero(allowed[t]).tolist() for t in range(k * k)]
@@ -293,8 +294,8 @@ def brute_force_structures(factors, allowed=None):
 
 def test_structure_search_matches_brute_force():
     for factors in [(2,), (4,), (9,), (2, 2), (2, 4), (2, 6), (3, 3)]:
-        cv, allowed = _search_inputs(factors)
-        rows, status, _ = kernels.structure_search(factors, cv, allowed)
+        allowed = _search_inputs(factors)
+        rows, status, _ = kernels.structure_search(factors, allowed)
         assert status == 0
         assert np.array_equal(rows, brute_force_structures(factors)), factors
 
@@ -304,18 +305,18 @@ def test_structure_search_matches_brute_force_on_subsets_of_the_torsion():
     # of its torsion subgroup
     rng = np.random.default_rng(7)
     for factors in [(4,), (9,), (2, 4), (2, 6), (3, 3)] * 4:
-        cv, torsion = _search_inputs(factors)
+        torsion = _search_inputs(factors)
         allowed = torsion & (rng.random(torsion.shape) < 0.6)
-        rows, status, _ = kernels.structure_search(factors, cv, allowed)
+        rows, status, _ = kernels.structure_search(factors, allowed)
         assert status == 0
         assert np.array_equal(
             rows, brute_force_structures(factors, allowed)), factors
 
 
 def test_structure_search_counts_on_z2_cubed():
-    cv, allowed = _search_inputs((2, 2, 2))
+    allowed = _search_inputs((2, 2, 2))
     rows, status, nodes = kernels.structure_search(
-        (2, 2, 2), cv, allowed, deadline=time.monotonic() + 3600
+        (2, 2, 2), allowed, deadline=time.monotonic() + 3600
     )
     assert (rows.shape, status, nodes) == ((1688, 9), 0, 28866)
 
@@ -329,16 +330,16 @@ def test_structure_search_counts_on_z2_cubed():
 def test_structure_search_rows_pinned_on_order_16(factors, shape, nodes, digest):
     # rows and their order as the search has always given them, and the
     # node count of the constraint-first order with forced cells
-    cv, allowed = _search_inputs(factors)
-    rows, status, got = kernels.structure_search(factors, cv, allowed)
+    allowed = _search_inputs(factors)
+    rows, status, got = kernels.structure_search(factors, allowed)
     blob = rows.astype(np.int64).tobytes()
     assert (rows.shape, status, got) == (shape, 0, nodes)
     assert hashlib.sha256(blob).hexdigest()[:16] == digest
 
 
 def test_structure_search_stops_at_past_deadline():
-    cv, allowed = _search_inputs((2, 2, 2))
+    allowed = _search_inputs((2, 2, 2))
     rows, status, nodes = kernels.structure_search(
-        (2, 2, 2), cv, allowed, deadline=time.monotonic() - 1
+        (2, 2, 2), allowed, deadline=time.monotonic() - 1
     )
     assert (rows.shape, status, nodes) == ((0, 9), -1, 0)
