@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import NotAdditiveSubgroup, NotPrime
 from .groups import invariant_factors, is_prime, prime_factorization
-from .rings import ElementSet, FiniteRing, is_additive_subgroup
+from .rings import ElementSet, FiniteRing, additive_orders, is_additive_subgroup
 
 
 @dataclass(frozen=True)
@@ -86,18 +86,15 @@ def classify_additive(R: FiniteRing) -> AbelianGroupType:
 def quotient_type(R: FiniteRing, S: ElementSet) -> AbelianGroupType:
     """Type of the additive quotient group R/S.
 
-    Coset representatives are the smallest element index in each coset; the
-    quotient's Cayley table is built on those and classified.
+    Each coset is represented by its smallest element index; the quotient's
+    Cayley table on those representatives is classified from its element
+    orders (rings.additive_orders).
     """
     if not is_additive_subgroup(R, S):
         raise NotAdditiveSubgroup(f"{S.members} is not an additive subgroup")
-    n = R.order
-    m = np.array(S.members)
-    rep = R.add[:, m].min(axis=1)  # smallest index in the coset of each x
+    rep = R.add[:, list(S.members)].min(axis=1)  # smallest index in x + S
     reps = np.unique(rep)
-    q = reps.shape[0]
-    pos = np.zeros(n, dtype=np.int64)  # pos[r] = index of representative r
-    pos[reps] = np.arange(q)
+    pos = np.zeros(R.order, dtype=np.int64)  # pos[r] = index of representative r
+    pos[reps] = np.arange(reps.shape[0])
     table = pos[rep[R.add[np.ix_(reps, reps)]]]
-    quotient = FiniteRing(table, np.zeros((q, q), dtype=np.int64), f"{R.label}/S")
-    return classify_additive(quotient)
+    return _classify_orders(additive_orders(table))

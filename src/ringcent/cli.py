@@ -20,13 +20,13 @@ from .rings import FiniteRing, load_ring
 from .suites import SUITES, load_universe, run_all
 
 
-def _resolve_ring(token: str, param=None) -> FiniteRing:
+def _resolve_ring(token: str) -> FiniteRing:
     """A ring from "gallery:NAME", "gallery:NAME:P", or a spec file path."""
     if token.startswith("gallery:"):
         parts = token.split(":")
         name = parts[1]
         try:
-            p = int(parts[2]) if len(parts) > 2 else param
+            p = int(parts[2]) if len(parts) > 2 else None
         except ValueError:
             raise RingError(f"gallery parameter in {token!r} is not an integer") from None
         try:
@@ -52,7 +52,7 @@ def _render_report(report) -> str:
 
 
 def _cmd_inspect(args) -> int:
-    ring = _resolve_ring(args.ring, args.p)
+    ring = _resolve_ring(args.ring)
     report = analyze(ring)
     if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
@@ -102,7 +102,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rings, name = load_universe(args.universe, max_order=args.max_order)
+    rings, name = load_universe(args.universe)
     results = run_all(rings, name, None if args.suite == "all" else [args.suite])
     bad = 0
     docs = []
@@ -149,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", help="full centralizer report for one ring")
     p.add_argument("ring", help="spec file or gallery:NAME[:P]")
-    p.add_argument("--p", type=int, default=None, help="gallery parameter")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_inspect)
 
@@ -176,9 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    help="suite id or 'all' (%s)" % ", ".join(sorted(SUITES)))
     p.add_argument("--universe", default="gallery",
-                   help="gallery | catalog[:N] | catalog dir | ring file")
-    p.add_argument("--max-order", type=int, default=13,
-                   help="catalog upper order for --universe catalog")
+                   help="gallery | catalog[:N] (N = 13 when omitted) | "
+                        "catalog dir | ring file")
     p.add_argument("--json", action="store_true")
     p.add_argument("--no-timing", action="store_true",
                    help="zero elapsed fields (byte-stable output)")

@@ -28,7 +28,6 @@ from .rings import (
     FiniteRing,
     RingSpec,
     _cyclic_steps,
-    join,
     structure_tables,
     validate,
 )
@@ -41,7 +40,7 @@ DEFAULT_TIME_BUDGET_SECS = 120.0
 
 
 # ---------------------------------------------------------------------------
-# element fingerprints and additive bases
+# element fingerprints and additive coordinates
 
 
 def element_fingerprints(R: FiniteRing) -> list[tuple[int, int, int]]:
@@ -72,49 +71,33 @@ def ring_fingerprint(R: FiniteRing) -> tuple:
     )
 
 
-def additive_basis(R: FiniteRing) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """An additive basis (b1..bk) of R, with the invariant factors d1..dk:
-    ord(bi) = di and the cyclic subgroups sum directly to all of (R, +).
+def coordinates(R: FiniteRing) -> tuple[tuple[int, ...], np.ndarray]:
+    """The invariant factors d1..dk of (R, +) and the coordinate map coords:
+    coords[x] is the element of R with standard index x (groups.coeff_vectors)
+    over an additive basis with ord(b_i) = d_i, coords[radix_weights(factors)].
 
-    Searched largest order first, trying elements in index order; the first
-    basis found is returned in ascending order to match the invariant factors.
+    One greedy pass, largest factor first: for each factor d, the first
+    element of order d whose multiples, added to the map so far, keep it
+    injective becomes the next more significant digit.  It never
+    backtracks: if G = H + K is direct and b, of the largest order e in K,
+    meets H in 0, then b's K-part k has order e, so K = <k> + K' and
+    H + <b> = H + <k> is again a direct summand, with a complement K' of the
+    factors still to take (the standard proof of the structure theorem).
     """
     factors = classify_additive(R).invariant_factors
-    desc = factors[::-1]
     orders = R.additive_orders()
-
-    def rec(span: set[int], basis: tuple[int, ...]):
-        if len(basis) == len(desc):
-            return basis[::-1]
-        d = desc[len(basis)]
-        for b in range(1, R.order):
-            if orders[b] != d or b in span:
-                continue
-            bigger = join(R, span, b)
-            if len(bigger) == len(span) * d:
-                found = rec(bigger, basis + (b,))
-                if found is not None:
-                    return found
-        return None
-
-    basis = rec({0}, ())
-    if basis is None:
-        raise AssertionError(f"no additive basis found for {R.label}")
-    return basis, factors
-
-
-def _coords_map(R: FiniteRing, basis: tuple[int, ...],
-                factors: tuple[int, ...]) -> np.ndarray:
-    """from_coords[std_index] = ring element, under the mixed-radix encoding."""
-    cv = groups.coeff_vectors(factors)
-    out = np.zeros(R.order, dtype=np.int64)
-    for i, b in enumerate(basis):
-        steps = np.array(_cyclic_steps(R, b), dtype=np.int64)
-        out = R.add[out, steps[cv[:, i]]]
-    reached = np.zeros(R.order, dtype=bool)
-    reached[out] = True
-    assert reached.all(), "basis span is not direct"
-    return out
+    coords = np.zeros(1, dtype=np.int64)
+    for d in factors[::-1]:
+        for b in np.flatnonzero(orders == d):
+            steps = np.array(_cyclic_steps(R, int(b)), dtype=np.int64)
+            grown = R.add[steps[:, None], coords[None, :]].reshape(-1)
+            if np.unique(grown).size == grown.size:
+                coords = grown
+                break
+        else:
+            raise AssertionError(f"no element of order {d} extends the "
+                                 f"additive basis of {R.label}")
+    return factors, coords
 
 
 def _inverse(perm: np.ndarray) -> np.ndarray:
@@ -130,7 +113,8 @@ def _inverse(perm: np.ndarray) -> np.ndarray:
 def isomorphic(R1: FiniteRing, R2: FiniteRing, witness: bool = False):
     """Ring isomorphism test: additive isomorphism preserving multiplication.
 
-    Backtracks over images of an additive basis of R1, pruned by element
+    Backtracks over images of the additive basis of R1 that coordinates
+    gives, coords[radix_weights(factors)], pruned by element
     fingerprints, by direct-sum feasibility of the image span, and by partial
     multiplicative consistency.  With witness=True returns the mapping array
     (or None) instead of a bool.
@@ -145,7 +129,8 @@ def isomorphic(R1: FiniteRing, R2: FiniteRing, witness: bool = False):
     n = R1.order
     if n == 1:
         return result(np.zeros(1, dtype=np.int64))
-    basis, factors = additive_basis(R1)
+    factors, coords = coordinates(R1)
+    basis = coords[list(groups.radix_weights(factors))].tolist()
     fp1 = element_fingerprints(R1)
     fp2 = element_fingerprints(R2)
     orders2 = R2.additive_orders()
@@ -308,11 +293,16 @@ def _least(tables: np.ndarray) -> np.ndarray:
 
 def canonical_form(R: FiniteRing) -> FiniteRing:
     """Lexicographically minimal (add table, mul table) over all relabelings
-    fixing index 0.  Isomorphic rings map to identical canonical forms."""
+    fixing index 0.  Isomorphic rings map to identical canonical forms.
+
+    R is relabeled by its coordinate map (coordinates), so its
+    multiplication is read in standard coordinates; the least of its
+    transports onto the minimal group table (_transports) is the canonical
+    multiplication."""
     if R.order > MAX_CANON_ORDER:
         raise TooLarge(f"canonical_form supports order <= {MAX_CANON_ORDER}")
-    basis, factors = additive_basis(R)
-    std = R.relabel(_coords_map(R, basis, factors))
+    factors, coords = coordinates(R)
+    std = R.relabel(coords)
     return FiniteRing(_min_group_table(factors)[0],
                       _least(_transports(factors, std.mul)), R.label)
 
@@ -497,8 +487,8 @@ def enumerate_rings(n: int, up_to_iso: bool = True,
     partitions = [(factors, _partition_values(factors))
                   for factors in groups.abelian_group_types(n)]
     for factors, values in partitions:
-        if not factors:  # order 1: just the zero ring
-            raw_rows[factors] = np.zeros((1, 0), dtype=np.int64)
+        if not factors:  # order 1: just the zero ring, in one partition
+            raw_rows[factors] = raw_structures(factors)
             partition_log.append(
                 {"factors": [], "g11": None, "raw_count": 1, "status": "done"}
             )

@@ -1,7 +1,10 @@
 """Concrete ring constructions, materialized to validated Cayley tables.
 
-Element indexing is fixed per constructor (mixed-radix over the stated
-coordinates) so tables, reports, and golden files are stable across runs.
+Each construction is declared by structure constants: the orders of its
+additive generators g_1..g_k and each product g_i g_j as a coefficient
+vector.  Elements are indexed by the standard encoding of their coefficient
+vectors (groups.coeff_vectors), so tables, reports and golden files are
+stable across runs.
 """
 
 from functools import lru_cache
@@ -10,11 +13,16 @@ import numpy as np
 
 from .errors import NotOddPrime, NotPrime, TooLarge
 from .groups import is_prime
-from .rings import MAX_ORDER, FiniteRing, validate
+from .rings import MAX_ORDER, FiniteRing, structure_tables, validate
 
 
-def _validated(add, mul, label) -> FiniteRing:
-    return validate(FiniteRing(add, mul, label))
+def _from_constants(factors, products, label) -> FiniteRing:
+    """The validated ring on Z_{d1} x ... x Z_{dk} whose generator products
+    are `products`, the k*k coefficient vectors of g_i g_j in row-major
+    order (i, j)."""
+    k = len(factors)
+    constants = np.reshape(np.asarray(products, dtype=np.int64), (k, k, k))
+    return validate(FiniteRing(*structure_tables(factors, constants), label))
 
 
 @lru_cache(maxsize=None)
@@ -22,51 +30,41 @@ def four_element_matrix_ring() -> FiniteRing:
     """The noncommutative ring of the four equal-row 2x2 matrices over Z_2.
 
     Elements indexed in listing order: 0 -> [0 0;0 0], 1 -> [1 0;1 0],
-    2 -> [0 1;0 1], 3 -> [1 1;1 1].
+    2 -> [0 1;0 1], 3 -> [1 1;1 1], so g1 = [0 1;0 1] and g2 = [1 0;1 0].
+    [a b; a b][x y; x y] = (a+b) [x y; x y], so g_i g_j = g_j.
     """
-    mats = [((0, 0), (1, 0), (0, 1), (1, 1))[i] for i in range(4)]
-    idx = {m: i for i, m in enumerate(mats)}
-    add = [[idx[((a + x) % 2, (b + y) % 2)] for (x, y) in mats] for (a, b) in mats]
-    # [a b; a b][x y; x y] = (a+b) [x y; x y]
-    mul = [[idx[(((a + b) * x) % 2, ((a + b) * y) % 2)] for (x, y) in mats]
-           for (a, b) in mats]
-    return _validated(add, mul, "four_element_matrix_ring")
+    return _from_constants((2, 2), [(1, 0), (0, 1), (1, 0), (0, 1)],
+                           "four_element_matrix_ring")
 
 
 @lru_cache(maxsize=None)
 def row_ring(p: int) -> FiniteRing:
-    """Matrices [a b; 0 0] over Z_p; index = a*p + b."""
+    """Matrices [a b; 0 0] over Z_p; index = a*p + b.
+
+    Generators E11, E12: E11 E11 = E11, E11 E12 = E12, and E12 x = 0."""
     if not is_prime(p):
         raise NotPrime(f"row_ring needs a prime, got {p}")
     if p * p > MAX_ORDER:
         raise TooLarge(f"row_ring({p}) has order {p * p} > {MAX_ORDER}")
-    a, b = np.divmod(np.arange(p * p), p)
-    add = ((a[:, None] + a[None, :]) % p) * p + (b[:, None] + b[None, :]) % p
-    # [a b; 0 0][x y; 0 0] = [ax ay; 0 0]
-    mul = ((a[:, None] * a[None, :]) % p) * p + (a[:, None] * b[None, :]) % p
-    return _validated(add, mul, f"row_ring({p})")
+    return _from_constants((p, p), [(1, 0), (0, 1), (0, 0), (0, 0)],
+                           f"row_ring({p})")
 
 
 @lru_cache(maxsize=None)
 def upper_triangular_ring(p: int) -> FiniteRing:
-    """Unital ring of matrices [a b; 0 c] over Z_p; index = a*p^2 + b*p + c."""
+    """Unital ring of matrices [a b; 0 c] over Z_p; index = a*p^2 + b*p + c.
+
+    Generators E11, E12, E22 with E_ij E_jl = E_il and every other product 0.
+    """
     if not is_prime(p):
         raise NotPrime(f"upper_triangular_ring needs a prime, got {p}")
     if p**3 > MAX_ORDER:
         raise TooLarge(f"upper_triangular_ring({p}) has order {p**3} > {MAX_ORDER}")
-    n = p**3
-    a, rem = np.divmod(np.arange(n), p * p)
-    b, c = np.divmod(rem, p)
-
-    def enc(x, y, z):
-        return (x % p) * p * p + (y % p) * p + (z % p)
-
-    A1, A2 = a[:, None], a[None, :]
-    B1, B2 = b[:, None], b[None, :]
-    C1, C2 = c[:, None], c[None, :]
-    add = enc(A1 + A2, B1 + B2, C1 + C2)
-    mul = enc(A1 * A2, A1 * B2 + B1 * C2, C1 * C2)
-    return _validated(add, mul, f"upper_triangular_ring({p})")
+    e11, e12, e22, zero = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+    return _from_constants((p, p, p), [e11, e12, zero,
+                                       zero, zero, e12,
+                                       zero, zero, e22],
+                           f"upper_triangular_ring({p})")
 
 
 @lru_cache(maxsize=None)
@@ -84,24 +82,12 @@ def quaternion_ring(p: int) -> FiniteRing:
             f"quaternion_ring({p}) has order {p**4} > {MAX_ORDER}; "
             "only p = 3 fits the default budget"
         )
-    n = p**4
-    digits = np.stack(
-        [(np.arange(n) // p ** (3 - i)) % p for i in range(4)], axis=1
-    )
-    a1, b1, c1, d1 = (digits[:, i][:, None] for i in range(4))
-    a2, b2, c2, d2 = (digits[:, i][None, :] for i in range(4))
-
-    def enc(w, x, y, z):
-        return ((w % p) * p**3 + (x % p) * p**2 + (y % p) * p + (z % p))
-
-    add = enc(a1 + a2, b1 + b2, c1 + c2, d1 + d2)
-    mul = enc(
-        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-    )
-    return _validated(add, mul, f"quaternion_ring({p})")
+    one, i, j, k = np.eye(4, dtype=np.int64)
+    return _from_constants((p,) * 4, [one, i, j, k,
+                                      i, -one, k, -j,
+                                      j, -k, -one, i,
+                                      k, j, -i, -one],
+                           f"quaternion_ring({p})")
 
 
 def direct_product(R: FiniteRing, S: FiniteRing) -> FiniteRing:
@@ -112,18 +98,16 @@ def direct_product(R: FiniteRing, S: FiniteRing) -> FiniteRing:
     m = S.order
     add = (R.add[:, None, :, None] * m + S.add[None, :, None, :]).reshape(n, n)
     mul = (R.mul[:, None, :, None] * m + S.mul[None, :, None, :]).reshape(n, n)
-    return _validated(add, mul, f"({R.label} x {S.label})")
+    return validate(FiniteRing(add, mul, f"({R.label} x {S.label})"))
 
 
 @lru_cache(maxsize=None)
 def modular_ring(n: int) -> FiniteRing:
-    """Z_n with mod-n addition and multiplication."""
+    """Z_n with mod-n addition and multiplication: g1 g1 = g1 for n > 1."""
     if not 1 <= n <= MAX_ORDER:
         raise TooLarge(f"modular_ring order must be in 1..{MAX_ORDER}, got {n}")
-    ar = np.arange(n)
-    add = (ar[:, None] + ar[None, :]) % n
-    mul = (ar[:, None] * ar[None, :]) % n
-    return _validated(add, mul, f"Z_{n}")
+    factors = (n,) if n > 1 else ()
+    return _from_constants(factors, [(1,)] * len(factors), f"Z_{n}")
 
 
 CONSTRUCTORS = {

@@ -2,10 +2,13 @@
 
 Elements of Z_{d1} x ... x Z_{dk} are encoded by the fixed mixed-radix rule
 (c1, ..., ck) -> sum ci * prod(dj for j > i), i.e. c1 is the most significant
-digit.  Every table builder and structure-constant reader in the package uses
-this one bijection.
+digit.  This is the package's one coordinate system: the structure search,
+the expansion of structure constants (and so every gallery construction),
+Aut(G) and the minimal group table, and the coordinate map of a given ring
+(enumeration.coordinates) all use this one bijection.
 """
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -112,32 +115,15 @@ def invariant_factors(parts_by_prime: dict[int, list[int]]) -> tuple[int, ...]:
 def abelian_group_types(n: int) -> tuple[tuple[int, ...], ...]:
     """Invariant-factor chains (ascending divisibility) of all abelian groups
     of order n, in deterministic sorted order."""
-    if n == 1:
-        return ((),)
     fact = prime_factorization(n)
-    per_prime: list[list[tuple[int, ...]]] = []
     primes = sorted(fact)
-    for p in primes:
-        per_prime.append(_partitions(fact[p]))
-    types = set()
-    idx = [0] * len(primes)
-    while True:
-        types.add(invariant_factors(
-            {p: per_prime[i][idx[i]] for i, p in enumerate(primes)}))
-        for i in range(len(primes) - 1, -1, -1):
-            idx[i] += 1
-            if idx[i] < len(per_prime[i]):
-                break
-            idx[i] = 0
-        else:
-            break
-    return tuple(sorted(types))
+    return tuple(sorted(
+        invariant_factors(dict(zip(primes, parts)))
+        for parts in itertools.product(*(_partitions(fact[p]) for p in primes))))
 
 
 def torsion_mask(factors: tuple[int, ...], g: int) -> np.ndarray:
     """Boolean mask of elements x with g*x = 0 in the encoded group."""
     cv = coeff_vectors(factors)
     d = np.array(factors, dtype=np.int64)
-    if len(factors) == 0:
-        return np.ones(1, dtype=bool)
     return ((cv * g) % d == 0).all(axis=1)

@@ -305,8 +305,9 @@ class _Plan:
         self.n, self.coeff = n, coeff
         self.add, self.scale, self.zero, self.times, self.neg = _lookup_tables(
             factors)
-        self.orders = np.lcm.reduce(d // np.gcd(d, coeff), axis=1)
-        exponent = int(np.lcm.reduce(d))
+        # initial=1 for the trivial group: it has no factors, lcm no identity
+        self.orders = np.lcm.reduce(d // np.gcd(d, coeff), axis=1, initial=1)
+        exponent = lcm(*factors)
         # inverses[e][s] = s^-1 mod e for a unit s, else 0
         self.inverses = {
             e: np.array([pow(s, -1, e) if gcd(s, e) == 1 else 0
@@ -314,7 +315,7 @@ class _Plan:
             for e in range(2, exponent + 1) if exponent % e == 0}
 
         pos = {cell: col for col, cell in enumerate(order)}
-        self.pos = np.array([pos[t] for t in range(k * k)])
+        self.pos = np.array([pos[t] for t in range(k * k)], dtype=np.intp)
 
         def terms(cells, level, skip):
             return tuple(None if cell == skip
@@ -470,4 +471,6 @@ def structure_search(factors, allowed, deadline=None):
         if frontier.shape[0] == 0:
             return np.zeros((0, kk), dtype=np.int64), 0, nodes
     rows = frontier[:, plan.pos].astype(np.int64)
-    return rows[np.lexsort(rows.T[::-1])], 0, nodes
+    if kk:  # lexsort needs a key; the trivial group has its one empty row
+        rows = rows[np.lexsort(rows.T[::-1])]
+    return rows, 0, nodes

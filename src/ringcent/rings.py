@@ -58,6 +58,21 @@ class ElementSet:
         return iter(self.members)
 
 
+def additive_orders(add: np.ndarray) -> np.ndarray:
+    """Order of every element of the group with Cayley table `add`: all
+    elements walk y -> y + x at once, and an element leaves the walk when
+    its y reaches 0."""
+    n = add.shape[0]
+    y = np.arange(n)
+    out = np.ones(n, dtype=np.int64)
+    live = np.flatnonzero(y)
+    while live.size:
+        y[live] = add[y[live], live]
+        out[live] += 1
+        live = live[y[live] != 0]
+    return out
+
+
 class FiniteRing:
     """Order-n ring as immutable addition and multiplication tables."""
 
@@ -78,27 +93,12 @@ class FiniteRing:
         return self.add.shape[0]
 
     @property
-    def zero(self) -> int:
-        return 0
-
-    @property
     def is_commutative(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
 
-    def neg(self, x: int) -> int:
-        return int(np.flatnonzero(self.add[x] == 0)[0])
-
     def additive_orders(self) -> np.ndarray:
-        """Additive order of every element: all elements walk y -> y + x at
-        once, and an element leaves the walk when its y reaches 0."""
-        y = np.arange(self.order)
-        out = np.ones(self.order, dtype=np.int64)
-        live = np.flatnonzero(y)
-        while live.size:
-            y[live] = self.add[y[live], live]
-            out[live] += 1
-            live = live[y[live] != 0]
-        return out
+        """Additive order of every element (rings.additive_orders)."""
+        return additive_orders(self.add)
 
     def unity(self) -> Optional[int]:
         n = self.order

@@ -351,14 +351,14 @@ def run_suite(suite_id: str, universe: Iterable[FiniteRing],
 # --- universes -------------------------------------------------------------
 
 
-def load_universe(spec: str, max_order: int = 13) -> tuple[list[FiniteRing], str]:
-    """Materialize a universe: "gallery", "catalog[:N]", a catalog directory,
-    or a single RingSpec file."""
+def load_universe(spec: str) -> tuple[list[FiniteRing], str]:
+    """Materialize a universe: "gallery", "catalog[:N]" (orders 1..N, N = 13
+    when omitted), a catalog directory, or a single RingSpec file."""
     if spec == "gallery":
         return gallery.default_gallery(), "gallery"
     if spec == "catalog" or spec.startswith("catalog:"):
         try:
-            hi = int(spec.split(":", 1)[1]) if ":" in spec else max_order
+            hi = int(spec.split(":", 1)[1]) if ":" in spec else 13
         except ValueError:
             raise RingError(f"catalog order in {spec!r} is not an integer") from None
         if hi > MAX_ENUM_ORDER:

@@ -152,6 +152,26 @@ def test_enumerate_and_verify_catalog_dir(tmp_path, capsys):
     assert "VIOLATION" not in out
 
 
+def test_verify_catalog_universe_takes_its_order_from_the_token(capsys):
+    code, out = run_cli(capsys, "verify", "--suite", "all",
+                        "--universe", "catalog:4", "--json", "--no-timing")
+    assert code == 0
+    docs = json.loads(out)
+    assert {doc["universe"] for doc in docs} == {"catalog orders 1..4"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--universe", "catalog", "--max-order", "4"],
+    ["inspect", "gallery:row_ring", "--p", "3"],
+])
+def test_duplicate_order_and_parameter_flags_are_gone(argv, capsys):
+    # the order is given by catalog:N, the parameter by gallery:NAME:P
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_enumerate_resume(tmp_path, capsys):
     out_dir = tmp_path / "cat6"
     run_cli(capsys, "enumerate", "--order", "6", "--up-to-iso",

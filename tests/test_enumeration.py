@@ -26,7 +26,7 @@ from ringcent.enumeration import (
     _min_group_automorphisms,
     _min_group_table,
     _partition_values,
-    additive_basis,
+    coordinates,
     element_fingerprints,
     enumerate_mul_tables,
     raw_structures,
@@ -36,7 +36,7 @@ from ringcent.enumeration import (
     structure_to_ring,
 )
 from ringcent.gallery import direct_product, modular_ring, row_ring
-from ringcent.groups import abelian_group_types, group_add_table
+from ringcent.groups import abelian_group_types, group_add_table, radix_weights
 from ringcent.rings import structure_tables
 
 
@@ -90,11 +90,18 @@ def test_relabelings_stay_isomorphic(catalog):
         assert ring_fingerprint(moved) == ring_fingerprint(R)
 
 
-def test_additive_basis_spans(small_universe):
-    for R in small_universe:
-        basis, factors = additive_basis(R)
+def test_additive_basis_spans(small_universe, gallery_rings):
+    # coordinates(R) is a group isomorphism from the standard table of the
+    # invariant factors onto (R, +), and its basis has those orders
+    for R in [*small_universe, *gallery_rings]:
+        factors, coords = coordinates(R)
+        assert factors == classify_additive(R).invariant_factors, R.label
+        assert np.array_equal(np.sort(coords), np.arange(R.order)), R.label
+        assert np.array_equal(R.add[coords[:, None], coords[None, :]],
+                              coords[group_add_table(factors)]), R.label
+        basis = coords[list(radix_weights(factors))]
         orders = R.additive_orders()
-        assert tuple(int(orders[b]) for b in basis) == factors
+        assert tuple(int(orders[b]) for b in basis) == factors, R.label
 
 
 def test_fingerprints_are_isomorphism_invariant(catalog):
@@ -312,6 +319,17 @@ def test_raw_count_invariant_under_generator_order():
     a = raw_structures((2, 6)).shape[0]
     b = raw_structures((6, 2)).shape[0]
     assert a == b
+
+
+def test_raw_structures_of_the_trivial_group():
+    # Z_1 has no generators: one empty assignment, the zero ring
+    from ringcent import kernels
+    from ringcent.enumeration import _search_inputs
+
+    assert raw_structures(()).shape == (1, 0)
+    rows, status, _ = kernels.structure_search((), _search_inputs(()))
+    assert rows.shape == (1, 0) and status == 0
+    assert enumerate_rings(1).raw_count == 1
 
 
 def test_partition_merge_equals_unpartitioned():

@@ -1,5 +1,8 @@
 """Gallery constructions match their documented structure."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 from ringcent import (
@@ -50,17 +53,59 @@ def test_four_element_matrix_ring_against_matrix_arithmetic():
 
 
 def test_row_ring_matches_matrix_arithmetic():
+    for p in (2, 3, 5, 7, 11, 13):
+        R = row_ring(p)
+        for a, b, x, y in itertools.product(range(p), repeat=4):
+            i, j = a * p + b, x * p + y
+            prod = mat2_mul(((a, b), (0, 0)), ((x, y), (0, 0)), p)
+            assert R.add[i, j] == (a + x) % p * p + (b + y) % p
+            assert R.mul[i, j] == prod[0][0] * p + prod[0][1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_upper_triangular_ring_matches_matrix_arithmetic(p):
+    # oracle: [a b; 0 c] over Z_p at index a*p^2 + b*p + c
+    mats = [((a, b), (0, c)) for a in range(p) for b in range(p) for c in range(p)]
+    idx = {m: i for i, m in enumerate(mats)}
+    R = upper_triangular_ring(p)
+    for i, m1 in enumerate(mats):
+        for j, m2 in enumerate(mats):
+            s = tuple(tuple((m1[r][c] + m2[r][c]) % p for c in range(2))
+                      for r in range(2))
+            assert R.add[i, j] == idx[s]
+            assert R.mul[i, j] == idx[mat2_mul(m1, m2, p)]
+
+
+def quaternion_mul(x, y, p):
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (
+        (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2) % p,
+        (a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2) % p,
+        (a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2) % p,
+        (a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2) % p,
+    )
+
+
+def test_quaternion_ring_matches_quaternion_arithmetic():
+    # oracle: (a + bi + cj + dk) products over Z_3 at index mixed-radix (a, b, c, d)
     p = 3
-    R = row_ring(p)
-    for a in range(p):
-        for b in range(p):
-            for x in range(p):
-                for y in range(p):
-                    i, j = a * p + b, x * p + y
-                    ma = ((a, b), (0, 0))
-                    mb = ((x, y), (0, 0))
-                    prod = mat2_mul(ma, mb, p)
-                    assert R.mul[i, j] == prod[0][0] * p + prod[0][1]
+    quats = list(itertools.product(range(p), repeat=4))
+    idx = {q: i for i, q in enumerate(quats)}
+    R = quaternion_ring(p)
+    for i, x in enumerate(quats):
+        for j, y in enumerate(quats):
+            assert R.add[i, j] == idx[tuple((u + v) % p for u, v in zip(x, y))]
+            assert R.mul[i, j] == idx[quaternion_mul(x, y, p)]
+
+
+def test_modular_ring_matches_mod_n_arithmetic():
+    for n in range(1, 257):
+        R = modular_ring(n)
+        ar = np.arange(n)
+        assert R.label == f"Z_{n}"
+        assert np.array_equal(R.add, (ar[:, None] + ar[None, :]) % n), n
+        assert np.array_equal(R.mul, (ar[:, None] * ar[None, :]) % n), n
 
 
 def test_row_ring_centralizer_counts():
