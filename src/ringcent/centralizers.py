@@ -74,10 +74,10 @@ class _per_ring:
 class CentReport:
     """Everything the package knows about one ring's centralizer structure.
 
-    The report keeps its ring, label, order and commutativity, and computes
-    every other field on first access, once per ring, so a field nobody
-    reads is never computed.  A field that fails on a bad table raises for
-    every reader of it, not when the report is made.
+    The report keeps its ring, label, order and commutativity (which the
+    ring caches), and computes every other field on first access, once per
+    ring, so a field nobody reads is never computed.  A field that fails on
+    a bad table raises for every reader of it, not when the report is made.
     """
 
     def __init__(self, ring: FiniteRing):

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Verbs: inspect, gallery, enumerate, search, verify, product.  Exit code is 0
-exactly when no violations or errors occurred, 1 on violations or when the
-reader of the output closed it early, and 2 on a RingError.
-RINGCENT_TIME_BUDGET_SECS is the wall-clock deadline for enumeration.
+Verbs: inspect, enumerate, search, verify, product.  Rings and universes are
+named by the tokens of suites.load_universe.  Exit code is 0 exactly when no
+violations or errors occurred, 1 on violations or when the reader of the
+output closed it early, and 2 on a RingError.  RINGCENT_TIME_BUDGET_SECS is
+the wall-clock deadline for enumeration.
 """
 
 import argparse
@@ -16,24 +17,16 @@ from . import gallery
 from .centralizers import analyze
 from .enumeration import enumerate_rings, search_n_centralizer
 from .errors import RingError
-from .rings import FiniteRing, load_ring
+from .rings import FiniteRing
 from .suites import SUITES, load_universe, run_all
 
 
 def _resolve_ring(token: str) -> FiniteRing:
-    """A ring from "gallery:NAME", "gallery:NAME:P", or a spec file path."""
-    if token.startswith("gallery:"):
-        parts = token.split(":")
-        name = parts[1]
-        try:
-            p = int(parts[2]) if len(parts) > 2 else None
-        except ValueError:
-            raise RingError(f"gallery parameter in {token!r} is not an integer") from None
-        try:
-            return gallery.by_name(name, p)
-        except KeyError as exc:  # an unknown name
-            raise RingError(exc.args[0]) from None
-    return load_ring(token)
+    """The one ring a token names (suites.load_universe)."""
+    rings, _ = load_universe(token)
+    if len(rings) != 1:
+        raise RingError(f"{token!r} names {len(rings)} rings, not one")
+    return rings[0]
 
 
 def _render_report(report) -> str:
@@ -51,24 +44,20 @@ def _render_report(report) -> str:
     return "\n".join(lines)
 
 
-def _cmd_inspect(args) -> int:
-    ring = _resolve_ring(args.ring)
-    report = analyze(ring)
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    else:
-        print(_render_report(report))
-    return 0
-
-
-def _cmd_gallery(args) -> int:
-    ring = gallery.by_name(args.name, args.p)
-    if args.emit:
-        ring.spec().save(args.emit)
-        print(f"wrote {args.emit}")
+def _show(ring: FiniteRing, emit=None, as_json=False) -> int:
+    """Write the ring's RingSpec to `emit`, or print its report."""
+    if emit:
+        ring.spec().save(emit)
+        print(f"wrote {emit}")
+    elif as_json:
+        print(json.dumps(analyze(ring).to_json(), indent=2, sort_keys=True))
     else:
         print(_render_report(analyze(ring)))
     return 0
+
+
+def _cmd_inspect(args) -> int:
+    return _show(_resolve_ring(args.ring), args.emit, args.json)
 
 
 def _cmd_enumerate(args) -> int:
@@ -131,13 +120,7 @@ def _cmd_verify(args) -> int:
 def _cmd_product(args) -> int:
     a = _resolve_ring(args.spec1)
     b = _resolve_ring(args.spec2)
-    prod = gallery.direct_product(a, b)
-    if args.emit:
-        prod.spec().save(args.emit)
-        print(f"wrote {args.emit}")
-    else:
-        print(_render_report(analyze(prod)))
-    return 0
+    return _show(gallery.direct_product(a, b), args.emit)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,15 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("inspect", help="full centralizer report for one ring")
-    p.add_argument("ring", help="spec file or gallery:NAME[:P]")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("ring", help="one-ring token, e.g. gallery:NAME[:P] or a spec file")
+    shown = p.add_mutually_exclusive_group()
+    shown.add_argument("--json", action="store_true")
+    shown.add_argument("--emit", metavar="FILE",
+                       help="write the ring's RingSpec here instead")
     p.set_defaults(func=_cmd_inspect)
-
-    p = sub.add_parser("gallery", help="build a named construction")
-    p.add_argument("name", choices=sorted(gallery.CONSTRUCTORS))
-    p.add_argument("--p", type=int, default=None, help="constructor parameter")
-    p.add_argument("--emit", metavar="FILE", help="write the RingSpec here")
-    p.set_defaults(func=_cmd_gallery)
 
     p = sub.add_parser("enumerate", help="generate all rings of one order")
     p.add_argument("--order", type=int, required=True)
@@ -175,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    help="suite id or 'all' (%s)" % ", ".join(sorted(SUITES)))
     p.add_argument("--universe", default="gallery",
-                   help="gallery | catalog[:N] (N = 13 when omitted) | "
-                        "catalog dir | ring file")
+                   help="gallery | gallery:NAME[:P] | catalog[:N] (N = 13 "
+                        "when omitted) | catalog dir | ring file")
     p.add_argument("--json", action="store_true")
     p.add_argument("--no-timing", action="store_true",
                    help="zero elapsed fields (byte-stable output)")
@@ -185,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("product", help="direct product of two rings")
-    p.add_argument("spec1", help="spec file or gallery:NAME[:P]")
-    p.add_argument("spec2", help="spec file or gallery:NAME[:P]")
+    p.add_argument("spec1", help="one-ring token, e.g. gallery:NAME[:P] or a spec file")
+    p.add_argument("spec2", help="one-ring token, e.g. gallery:NAME[:P] or a spec file")
     p.add_argument("--emit", metavar="FILE")
     p.set_defaults(func=_cmd_product)
 

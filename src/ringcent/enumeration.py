@@ -462,9 +462,10 @@ def enumerate_rings(n: int, up_to_iso: bool = True,
     The search is bounded by a wall-clock deadline budget_secs from the start
     (default time_budget_secs()); a search still running at the deadline
     raises PartialUniverse, saying how far the run got, instead of returning
-    a silently truncated catalog.  With out_dir set, per-partition results
-    and a manifest are written as the run goes; resume=True reuses the part
-    files the manifest records as done, if they match it (see _load_part).
+    a silently truncated catalog.  With out_dir set, each partition's rows
+    go to a part file and the manifest is rewritten after every partition,
+    so however the run stops, resume=True reuses the part files the
+    manifest records as done, if they match it (see _load_part).
     """
     if n > MAX_ENUM_ORDER:
         raise TooLarge(f"exhaustive enumeration is capped at order {MAX_ENUM_ORDER}")
@@ -476,10 +477,11 @@ def enumerate_rings(n: int, up_to_iso: bool = True,
     start = time.monotonic()
     deadline = start + budget
     out_path = Path(out_dir) if out_dir else None
-    manifest = _read_manifest(out_path, n) if (out_path and resume) else None
+    recorded = _read_records(out_path, n) if (out_path and resume) else []
     if out_path:
         (out_path / "parts").mkdir(parents=True, exist_ok=True)
         (out_path / "rings").mkdir(parents=True, exist_ok=True)
+        _flush_manifest(out_path, n, recorded, complete=False)
 
     partition_log: list[dict] = []
     raw_rows: dict[tuple[int, ...], np.ndarray] = {}
@@ -496,12 +498,11 @@ def enumerate_rings(n: int, up_to_iso: bool = True,
         parts = []
         for v in values:
             part_name = f"t{'x'.join(map(str, factors))}_g{v:02d}.json"
-            assignments = _load_part(out_path, part_name, manifest, factors, v)
+            assignments = _load_part(out_path, part_name, recorded, factors, v)
             if assignments is None:
                 try:
                     assignments = raw_structures(factors, g11=v, deadline=deadline)
                 except PartialUniverse as exc:
-                    _flush_manifest(out_path, n, partition_log, complete=False)
                     raise PartialUniverse(
                         f"{exc}; {len(partition_log)} of "
                         f"{sum(len(vs) for _, vs in partitions)} partitions "
@@ -516,29 +517,27 @@ def enumerate_rings(n: int, up_to_iso: bool = True,
                  "raw_count": int(assignments.shape[0]), "status": "done",
                  "file": f"parts/{part_name}"}
             )
+            # keep the resumed records of the partitions not reached yet
+            _flush_manifest(out_path, n, partition_log + recorded[len(partition_log):],
+                            complete=False)
         raw_rows[factors] = np.concatenate(parts)
 
     per_type_raw = {factors: rows.shape[0] for factors, rows in raw_rows.items()}
     raw_count = sum(per_type_raw.values())
     reps = []
-    if not up_to_iso:
-        # no validate: the search guarantees associativity, and bilinearity
-        # guarantees distributivity
-        for factors, rows in raw_rows.items():
+    for factors, rows in raw_rows.items():
+        if up_to_iso:
+            table = _min_group_table(factors)[0]
+            reps.extend(validate(FiniteRing(table, cmul, f"o{n}_c{len(reps):03d}"))
+                        for cmul in _orbit_classes(factors, rows))
+        else:
+            # no validate: the search guarantees associativity, and
+            # bilinearity guarantees distributivity
             add, muls = structure_tables(factors, _constants(factors, rows))
             reps.extend(FiniteRing(add, mul, f"o{n}_r{len(reps):04d}")
                         for mul in muls)
-        catalog = IsoClassCatalog(n, reps, raw_count, None, per_type_raw, False)
-        _flush_manifest(out_path, n, partition_log, complete=True, catalog=catalog)
-        return catalog
-
-    for factors, rows in raw_rows.items():
-        table = _min_group_table(factors)[0]
-        reps.extend(FiniteRing(table, cmul, f"o{n}_c{len(reps):03d}")
-                    for cmul in _orbit_classes(factors, rows))
-    for r in reps:
-        validate(r)
-    catalog = IsoClassCatalog(n, reps, raw_count, len(reps), per_type_raw, True)
+    catalog = IsoClassCatalog(n, reps, raw_count, len(reps) if up_to_iso else None,
+                              per_type_raw, up_to_iso)
     _flush_manifest(out_path, n, partition_log, complete=True, catalog=catalog)
     return catalog
 
@@ -555,13 +554,16 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _read_manifest(out_path: Path, n: int) -> Optional[dict]:
-    """The order-n manifest at out_path, or None if absent or unreadable."""
+def _read_records(out_path: Path, n: int) -> list[dict]:
+    """The partition records of the order-n manifest at out_path; none if
+    it is absent, unreadable or malformed."""
     try:
         doc = json.loads((out_path / "manifest.json").read_text())
-    except (OSError, ValueError):
-        return None
-    return doc if isinstance(doc, dict) and doc.get("order") == n else None
+        records = doc["partitions"] if doc["order"] == n else []
+    except (OSError, ValueError, KeyError, TypeError):
+        return []
+    ok = isinstance(records, list) and all(isinstance(e, dict) for e in records)
+    return records if ok else []
 
 
 def _save_part(out_path, name, factors, v, assignments) -> None:
@@ -573,13 +575,12 @@ def _save_part(out_path, name, factors, v, assignments) -> None:
     _write_atomic(out_path / "parts" / name, json.dumps(doc))
 
 
-def _load_part(out_path, name, manifest, factors, v) -> Optional[np.ndarray]:
+def _load_part(out_path, name, recorded, factors, v) -> Optional[np.ndarray]:
     """Rows of partition (factors, g1*g1 = v) if the manifest records it as
     done and its part file parses and matches that entry on group, g1*g1
     and row count; otherwise None, and the partition is searched again."""
-    done = [e for e in (manifest or {}).get("partitions", [])
-            if tuple(e.get("factors", ())) == factors and e.get("g11") == v
-            and e.get("status") == "done" and e.get("file")]
+    done = [e for e in recorded if e.get("factors") == list(factors)
+            and e.get("g11") == v and e.get("status") == "done" and e.get("file")]
     if not done:
         return None
     try:
@@ -652,17 +653,18 @@ def cached_catalog(n: int) -> IsoClassCatalog:
     return _catalog_cache[n]
 
 
+def catalog_rings(max_order: int) -> list[FiniteRing]:
+    """The catalog representatives of orders 1..max_order, by order."""
+    if max_order > MAX_ENUM_ORDER:
+        raise TooLarge(f"the catalog is capped at order {MAX_ENUM_ORDER}")
+    return [ring for n in range(1, max_order + 1) for ring in cached_catalog(n)]
+
+
 def search_n_centralizer(target: int, max_order: int) -> list[FiniteRing]:
     """All catalog representatives with exactly target distinct centralizers
     and order <= max_order.  An empty answer is meaningful."""
-    if max_order > MAX_ENUM_ORDER:
-        raise TooLarge(f"search is capped at order {MAX_ENUM_ORDER}")
-    hits = []
-    for n in range(1, max_order + 1):
-        for ring in cached_catalog(n):
-            if len(cent_set(ring)) == target:
-                hits.append(ring)
-    return hits
+    return [ring for ring in catalog_rings(max_order)
+            if len(cent_set(ring)) == target]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotOddPrime, NotPrime, TooLarge
+from .errors import NotOddPrime, NotPrime, RingError, TooLarge
 from .groups import is_prime
 from .rings import MAX_ORDER, FiniteRing, structure_tables, validate
 
@@ -120,12 +120,16 @@ CONSTRUCTORS = {
 
 
 def by_name(name: str, param: int | None = None) -> FiniteRing:
-    """Look up a gallery constructor, e.g. by_name("row_ring", 3)."""
+    """Look up a gallery constructor, e.g. by_name("row_ring", 3).  An
+    unknown name is a KeyError; a parameter for a construction without one
+    is a RingError."""
     if name not in CONSTRUCTORS:
         raise KeyError(f"unknown gallery ring {name!r}; "
                        f"choices: {', '.join(sorted(CONSTRUCTORS))}")
     func, default = CONSTRUCTORS[name]
     if default is None:
+        if param is not None:
+            raise RingError(f"{name} takes no parameter, got {param}")
         return func()
     return func(param if param is not None else default)
 

@@ -10,6 +10,7 @@ name the first failure of a table that is not a ring.
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -92,7 +93,7 @@ class FiniteRing:
     def order(self) -> int:
         return self.add.shape[0]
 
-    @property
+    @cached_property  # the tables are read-only
     def is_commutative(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
 
@@ -254,6 +255,20 @@ def _expand_structure(spec: RingSpec) -> tuple[np.ndarray, np.ndarray]:
     return structure_tables(factors, C)
 
 
+# kernel failure code -> (exception, message); a failure at a triple of
+# elements (k >= 0) names the triple after the message
+_LAW_FAILURES = {
+    kernels.BAD_IDENTITY: (BadIdentityConvention, "element 0 is not the additive "
+                           "identity: add[{i}][{j}] != {top}"),
+    kernels.NONCOMMUTATIVE_ADD: (NonAbelianAddition, "add[{i}][{j}] != add[{j}][{i}]"),
+    kernels.NONASSOCIATIVE_ADD: (NonAbelianAddition, "addition not associative"),
+    kernels.NO_INVERSE: (NoAdditiveInverse, "element {i} has no additive inverse"),
+    kernels.NONASSOCIATIVE_MUL: (NotAssociative, "multiplication not associative"),
+    kernels.NONDISTRIBUTIVE_LEFT: (NotDistributive, "left distributivity fails"),
+    kernels.NONDISTRIBUTIVE_RIGHT: (NotDistributive, "right distributivity fails"),
+}
+
+
 def validate(spec) -> FiniteRing:
     """Check every ring law on the spec's tables and return the ring.
 
@@ -288,35 +303,14 @@ def validate(spec) -> FiniteRing:
                 f"outside 0..{n - 1}"
             )
 
-    code, i, j, k = kernels.add_table_check(add)
-    if code == kernels.BAD_IDENTITY:
-        raise BadIdentityConvention(
-            f"element 0 is not the additive identity: add[{i}][{j}] != {max(i, j)}"
-        )
-    if code == kernels.NONCOMMUTATIVE_ADD:
-        raise NonAbelianAddition(f"add[{i}][{j}] != add[{j}][{i}]")
-    if code == kernels.NONASSOCIATIVE_ADD:
-        raise NonAbelianAddition(
-            f"addition not associative at triple ({i}, {j}, {k})"
-        )
-    if code == kernels.NO_INVERSE:
-        raise NoAdditiveInverse(f"element {i} has no additive inverse")
-
-    code, i, j, k = kernels.mul_assoc_check(add, mul)
-    if code != kernels.OK:
-        raise NotAssociative(
-            f"multiplication not associative at triple ({i}, {j}, {k})"
-        )
-
-    code, i, j, k = kernels.distrib_check(add, mul)
-    if code == kernels.NONDISTRIBUTIVE_LEFT:
-        raise NotDistributive(
-            f"left distributivity fails at triple ({i}, {j}, {k})"
-        )
-    if code == kernels.NONDISTRIBUTIVE_RIGHT:
-        raise NotDistributive(
-            f"right distributivity fails at triple ({i}, {j}, {k})"
-        )
+    for check, tables in ((kernels.add_table_check, (add,)),
+                          (kernels.mul_assoc_check, (add, mul)),
+                          (kernels.distrib_check, (add, mul))):
+        code, i, j, k = check(*tables)
+        if code != kernels.OK:
+            error, message = _LAW_FAILURES[code]
+            at = f" at triple ({i}, {j}, {k})" if k >= 0 else ""
+            raise error(message.format(i=i, j=j, top=max(i, j)) + at)
 
     return FiniteRing(add, mul, spec.label)
 

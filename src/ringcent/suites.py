@@ -19,8 +19,8 @@ import numpy as np
 
 from . import gallery
 from .centralizers import CentReport, analyze, cent_set
-from .enumeration import MAX_ENUM_ORDER, cached_catalog, read_catalog
-from .errors import EmptyUniverse, RingError, TooLarge, UnknownSuite, ValidationError
+from .enumeration import catalog_rings, read_catalog
+from .errors import EmptyUniverse, RingError, UnknownSuite, ValidationError
 from .groups import is_prime, prime_factorization, smallest_prime_divisor
 from .rings import ElementSet, FiniteRing, load_ring, subrings, validate
 
@@ -351,23 +351,33 @@ def run_suite(suite_id: str, universe: Iterable[FiniteRing],
 # --- universes -------------------------------------------------------------
 
 
-def load_universe(spec: str) -> tuple[list[FiniteRing], str]:
-    """Materialize a universe: "gallery", "catalog[:N]" (orders 1..N, N = 13
-    when omitted), a catalog directory, or a single RingSpec file."""
-    if spec == "gallery":
+def load_universe(token: str) -> tuple[list[FiniteRing], str]:
+    """The rings a token names, and the universe's name.  The one parser of
+    ring and universe tokens, it reads five forms: gallery (the default
+    gallery), gallery:NAME[:P] (one construction, gallery.by_name),
+    catalog[:N] (orders 1..N, N = 13 when omitted), a catalog directory, or
+    a RingSpec file.  A malformed gallery or catalog token is a RingError."""
+    head, *fields = token.split(":")
+    if token == "gallery":
         return gallery.default_gallery(), "gallery"
-    if spec == "catalog" or spec.startswith("catalog:"):
+    if head in ("gallery", "catalog"):
+        name = fields.pop(0) if head == "gallery" else None
+        if len(fields) > 1:
+            raise RingError(f"{token!r} has too many fields; expected "
+                            "gallery:NAME[:P] or catalog[:N]")
         try:
-            hi = int(spec.split(":", 1)[1]) if ":" in spec else 13
+            number = int(fields[0]) if fields else None
         except ValueError:
-            raise RingError(f"catalog order in {spec!r} is not an integer") from None
-        if hi > MAX_ENUM_ORDER:
-            raise TooLarge(f"catalog universe is capped at order {MAX_ENUM_ORDER}")
-        rings: list[FiniteRing] = []
-        for n in range(1, hi + 1):
-            rings.extend(cached_catalog(n).representatives)
-        return rings, f"catalog orders 1..{hi}"
-    path = Path(spec)
+            what = "gallery parameter" if head == "gallery" else "catalog order"
+            raise RingError(f"{what} in {token!r} is not an integer") from None
+        if head == "catalog":
+            hi = 13 if number is None else number
+            return catalog_rings(hi), f"catalog orders 1..{hi}"
+        try:
+            return [gallery.by_name(name, number)], f"ring {token}"
+        except KeyError as exc:  # an unknown name
+            raise RingError(exc.args[0]) from None
+    path = Path(token)
     if path.is_dir():
         catalog = read_catalog(path)
         return list(catalog.representatives), f"catalog {path}"

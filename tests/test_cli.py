@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -9,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from ringcent.cli import main
+from ringcent.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -55,7 +58,7 @@ def test_inspect_spec_file(tmp_path, capsys):
 
 def test_gallery_emit_round_trip(tmp_path, capsys):
     path = tmp_path / "ut2.json"
-    code, _ = run_cli(capsys, "gallery", "upper_triangular_ring", "--p", "2",
+    code, _ = run_cli(capsys, "inspect", "gallery:upper_triangular_ring:2",
                       "--emit", str(path))
     assert code == 0
     doc = json.loads(path.read_text())
@@ -66,10 +69,42 @@ def test_gallery_emit_round_trip(tmp_path, capsys):
 
 
 def test_gallery_bad_param_exit_code(capsys):
-    code = main(["gallery", "row_ring", "--p", "9"])
+    code = main(["inspect", "gallery:row_ring:9"])
     err = capsys.readouterr().err
     assert code == 2
     assert "NotPrime" in err
+
+
+def test_inspect_catalog_token_reports_the_zero_ring(capsys):
+    code, out = run_cli(capsys, "inspect", "catalog:1")
+    assert code == 0
+    assert "order: 1" in out
+    assert "|Cent(R)|: 1" in out
+    assert "Z(R) = [0]" in out
+
+
+def test_verify_one_gallery_ring(capsys):
+    code, out = run_cli(capsys, "verify", "--universe", "gallery:row_ring:3",
+                        "--json", "--no-timing")
+    assert code == 0
+    docs = json.loads(out)
+    assert len(docs) == 17 and all(doc["passed"] for doc in docs)
+    assert {doc["universe"] for doc in docs} == {"ring gallery:row_ring:3"}
+    assert max(doc["checked"] for doc in docs) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gallery", "row_ring"],
+    ["inspect", "gallery:row_ring:3", "--json", "--emit", "r3.json"],
+])
+def test_gallery_verb_and_json_with_emit_are_usage_errors(argv, capsys,
+                                                          tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "r3.json").exists()
 
 
 MALFORMED_SPECS = {
@@ -104,6 +139,9 @@ BAD_INPUTS = {
     "catalog_abc": ["verify", "--universe", "catalog:abc"],
     "gallery_param_x": ["inspect", "gallery:row_ring:x"],
     "gallery_nosuch": ["inspect", "gallery:nosuch"],
+    "gallery_param_unused": ["inspect", "gallery:four_element_matrix_ring:7"],
+    "gallery_four_fields": ["inspect", "gallery:row_ring:3:9"],
+    "catalog_many_rings": ["inspect", "catalog:2"],
 }
 
 
@@ -271,3 +309,21 @@ def test_reader_that_closes_early_gets_no_traceback():
     assert "Traceback" not in proc.stderr
     assert "BrokenPipeError" not in proc.stderr
     assert proc.returncode == 1
+
+
+def _readme_cli_lines():
+    """The `ringcent ...` lines of the README's CLI block, comments cut."""
+    block = README.read_text().split("## CLI", 1)[1].split("```")[1]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines()
+            if line.startswith("ringcent ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples_parse(line):
+    # each line must parse with its optional [...] parts dropped and kept
+    parser = build_parser()
+    for text in (re.sub(r"\[[^]]*\]", "", line), re.sub(r"[][]", "", line)):
+        try:
+            parser.parse_args(shlex.split(text)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {text}")

@@ -479,7 +479,8 @@ def _largest_part(out):
     return out / entry["file"]
 
 
-@pytest.mark.parametrize("damage", ["shortened", "truncated", "manifest"])
+@pytest.mark.parametrize("damage", ["shortened", "truncated", "manifest",
+                                    "records", "record"])
 def test_resume_searches_damaged_parts_again(tmp_path, damage):
     out = tmp_path / "cat9"
     fresh = enumerate_rings(9, out_dir=str(out))
@@ -491,15 +492,84 @@ def test_resume_searches_damaged_parts_again(tmp_path, damage):
         part.write_text(json.dumps(doc))
     elif damage == "truncated":  # cut mid-file, as a crash mid-write leaves it
         part.write_text(whole[: len(whole) // 2])
-    else:  # an unreadable manifest: every partition is searched again
+    elif damage == "manifest":  # unreadable: every partition is searched again
         manifest = out / "manifest.json"
         manifest.write_text(manifest.read_text()[:100])
+    else:  # records that are not a list of objects, or one bad record
+        manifest = out / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        if damage == "records":
+            doc["partitions"] = {"t3x3_g00": 1}
+        else:
+            doc["partitions"][0]["factors"] = 9
+        manifest.write_text(json.dumps(doc))
     again = enumerate_rings(9, out_dir=str(out), resume=True)
     assert again.raw_count == fresh.raw_count == 130
     assert again.class_count == fresh.class_count == 11
     assert part.read_text() == whole  # the partition was searched again
     for a, b in zip(fresh.representatives, again.representatives):
         assert np.array_equal(a.mul, b.mul)
+
+
+def test_an_interrupted_run_resumes_from_its_journal(tmp_path, monkeypatch):
+    # the 4th partition search is interrupted, as Ctrl-C or a kill would;
+    # the 3 finished partitions must be on record for resume
+    from ringcent import enumeration
+
+    out = tmp_path / "cat9"
+    search = enumeration.raw_structures
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    def interrupted(*args, **kwargs):
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "raw_structures", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        enumerate_rings(9, out_dir=str(out))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert not manifest["complete"] and len(manifest["partitions"]) == 3
+    calls.clear()
+    monkeypatch.setattr(enumeration, "raw_structures", counted)
+    again = enumerate_rings(9, out_dir=str(out), resume=True)
+    assert len(calls) == 15 == 18 - 3
+    monkeypatch.setattr(enumeration, "raw_structures", search)
+    fresh = enumerate_rings(9)
+    assert again.class_count == fresh.class_count == 11
+    for a, b in zip(fresh.representatives, again.representatives, strict=True):
+        assert np.array_equal(a.add, b.add) and np.array_equal(a.mul, b.mul)
+
+
+def test_a_resume_interrupted_while_reusing_keeps_the_later_records(
+        tmp_path, monkeypatch):
+    # the journal rewritten after the first reused partition must still
+    # record the 17 finished partitions that run had not reached
+    from ringcent import enumeration
+
+    out = tmp_path / "cat9"
+    enumerate_rings(9, out_dir=str(out))
+    load = enumeration._load_part
+    loads = []
+
+    def interrupted(*args):
+        loads.append(args)
+        if len(loads) == 2:
+            raise KeyboardInterrupt
+        return load(*args)
+
+    monkeypatch.setattr(enumeration, "_load_part", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        enumerate_rings(9, out_dir=str(out), resume=True)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert not manifest["complete"] and len(manifest["partitions"]) == 18
+    monkeypatch.setattr(enumeration, "_load_part", load)
+    monkeypatch.setattr(enumeration, "raw_structures", None)  # nothing to search
+    assert enumerate_rings(9, out_dir=str(out), resume=True).class_count == 11
 
 
 @pytest.mark.parametrize("part_of, message", [

@@ -8,6 +8,7 @@ import pytest
 from ringcent import (
     NotOddPrime,
     NotPrime,
+    RingError,
     TooLarge,
     cent_set,
     center,
@@ -211,6 +212,11 @@ def test_by_name_dispatch():
     assert by_name("modular_ring", 11).order == 11
     with pytest.raises(KeyError):
         by_name("nonexistent")
+
+
+def test_by_name_refuses_a_parameter_the_construction_does_not_take():
+    with pytest.raises(RingError, match="takes no parameter"):
+        by_name("four_element_matrix_ring", 7)
 
 
 def test_quotient_of_row_rings_is_p_p():

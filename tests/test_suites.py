@@ -7,7 +7,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ringcent import EmptyUniverse, UnknownSuite, ValidationError, centralizers
+from ringcent import (
+    EmptyUniverse,
+    RingError,
+    UnknownSuite,
+    ValidationError,
+    centralizers,
+)
 from ringcent.gallery import default_gallery, row_ring
 from ringcent.rings import FiniteRing
 from ringcent.suites import (
@@ -87,6 +93,30 @@ def test_load_universe_gallery_and_file(tmp_path):
     row_ring(3).spec().save(path)
     rings, name = load_universe(str(path))
     assert len(rings) == 1 and rings[0].order == 9
+
+
+def test_load_universe_gallery_construction():
+    rings, name = load_universe("gallery:row_ring:3")
+    assert rings == [row_ring(3)] and name == "ring gallery:row_ring:3"
+    rings, name = load_universe("gallery:four_element_matrix_ring")
+    assert [R.order for R in rings] == [4]
+    rings, name = load_universe("catalog:2")
+    assert [R.order for R in rings] == [1, 2, 2]
+    assert name == "catalog orders 1..2"
+
+
+@pytest.mark.parametrize("token, message", [
+    ("gallery:nosuch", "unknown gallery ring 'nosuch'"),
+    ("gallery:row_ring:x", "is not an integer"),
+    ("gallery:row_ring:3:9", "too many fields"),
+    ("gallery:four_element_matrix_ring:7", "takes no parameter"),
+    ("catalog:abc", "is not an integer"),
+    ("catalog:2:3", "too many fields"),
+], ids=["unknown-name", "param-not-int", "gallery-four-fields", "param-unused",
+        "order-not-int", "catalog-three-fields"])
+def test_load_universe_rejects_malformed_tokens(token, message):
+    with pytest.raises(RingError, match=message):
+        load_universe(token)
 
 
 def test_load_universe_catalog_dir(tmp_path):
