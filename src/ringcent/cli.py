@@ -3,8 +3,9 @@
 Verbs: inspect, enumerate, search, verify, product.  Rings and universes are
 named by the tokens of suites.load_universe.  Exit code is 0 exactly when no
 violations or errors occurred, 1 on violations or when the reader of the
-output closed it early, and 2 on a RingError.  RINGCENT_TIME_BUDGET_SECS is
-the wall-clock deadline for enumeration.
+output closed it early, and 2 on a RingError or a file that cannot be
+written.  `enumerate` gives isomorphism classes; RINGCENT_TIME_BUDGET_SECS is
+its wall-clock deadline.
 """
 
 import argparse
@@ -61,13 +62,8 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    catalog = enumerate_rings(
-        args.order, up_to_iso=args.up_to_iso, out_dir=args.out,
-        resume=args.resume,
-    )
-    kind = "isomorphism classes" if catalog.deduped else "raw structures"
-    count = catalog.class_count if catalog.deduped else catalog.raw_count
-    print(f"order {catalog.order}: {count} {kind} "
+    catalog = enumerate_rings(args.order, out_dir=args.out, resume=args.resume)
+    print(f"order {catalog.order}: {catalog.class_count} isomorphism classes "
           f"({catalog.raw_count} raw structures)")
     for factors, raw in sorted(catalog.per_type_raw.items()):
         name = " x ".join(f"Z_{d}" for d in factors) or "trivial"
@@ -138,9 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the ring's RingSpec here instead")
     p.set_defaults(func=_cmd_inspect)
 
-    p = sub.add_parser("enumerate", help="generate all rings of one order")
+    p = sub.add_parser("enumerate",
+                       help="the isomorphism classes of rings of one order")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--up-to-iso", action="store_true", default=False)
     p.add_argument("--out", metavar="DIR", help="catalog output directory")
     p.add_argument("--resume", action="store_true",
                    help="skip partitions already recorded in the manifest")
@@ -182,14 +178,14 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except RingError as exc:
-        print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # The reader closed early.  Point stdout at devnull so that the
         # interpreter's last flush does not fail again on exit.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except (RingError, OSError) as exc:  # BrokenPipeError, an OSError, is above
+        print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from pathlib import Path
@@ -200,12 +200,9 @@ def isomorphic(R1: FiniteRing, R2: FiniteRing, witness: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# canonical form: lexicographically minimal (add, mul) over relabelings
-#
-# Lex order puts the whole addition table before the multiplication table, so
-# the minimum is found in two stages: the lex-min Cayley table of the
-# additive group (a per-type constant), then the minimal transported
-# multiplication over the additive isomorphisms onto that table.
+# canonical form: one fixed addition table per additive type (a per-type
+# constant), then the least multiplication transported onto it by the
+# additive isomorphisms
 
 
 @lru_cache(maxsize=None)
@@ -286,19 +283,25 @@ def _transports(factors: tuple[int, ...], mul: np.ndarray) -> np.ndarray:
 
 
 def _least(tables: np.ndarray) -> np.ndarray:
-    """The lexicographically least table of a stack."""
+    """The lexicographically least table of a stack, as a copy: a view
+    would keep the whole stack alive."""
     flat = tables.reshape(tables.shape[0], -1)
-    return tables[np.lexsort(flat.T[::-1])[0]]
+    return tables[np.lexsort(flat.T[::-1])[0]].copy()
 
 
 def canonical_form(R: FiniteRing) -> FiniteRing:
-    """Lexicographically minimal (add table, mul table) over all relabelings
-    fixing index 0.  Isomorphic rings map to identical canonical forms.
+    """Canonical (add table, mul table) of R: isomorphic rings map to
+    identical canonical forms.
 
     R is relabeled by its coordinate map (coordinates), so its
     multiplication is read in standard coordinates; the least of its
     transports onto the minimal group table (_transports) is the canonical
-    multiplication."""
+    multiplication.  Isomorphic rings meet because the labelling per
+    additive type is fixed and the transports run over all of Aut(G): the
+    standard-coordinate multiplications of two isomorphic rings differ by an
+    automorphism, so their transport stacks hold the same tables.  That
+    _min_group_table is lex-min is checked for the pinned types, not relied
+    on."""
     if R.order > MAX_CANON_ORDER:
         raise TooLarge(f"canonical_form supports order <= {MAX_CANON_ORDER}")
     factors, coords = coordinates(R)
@@ -354,13 +357,6 @@ def _constants(factors: tuple[int, ...], assignment: np.ndarray) -> np.ndarray:
     return cv[assignment].reshape(*assignment.shape[:-1], k, k, k)
 
 
-def structure_to_ring(factors: tuple[int, ...], assignment: np.ndarray,
-                      label: Optional[str] = None) -> FiniteRing:
-    """Expand one generator-product assignment via the validating loader."""
-    constants = _constants(factors, assignment)
-    return validate(RingSpec.structure(list(factors), constants.tolist(), label))
-
-
 def _orbit_classes(factors: tuple[int, ...], rows: np.ndarray) -> list[np.ndarray]:
     """Canonical multiplication of each Aut(G)-orbit among the raw rows of one
     group type, in the order of each orbit's first row.
@@ -408,14 +404,20 @@ def _orbit_classes(factors: tuple[int, ...], rows: np.ndarray) -> list[np.ndarra
 
 @dataclass
 class IsoClassCatalog:
-    """Every ring of one order: raw counts plus class representatives."""
+    """The isomorphism classes of rings of one order: one representative per
+    class, and the raw structure count of each additive type."""
 
     order: int
     representatives: list[FiniteRing]
-    raw_count: int
-    class_count: Optional[int]
-    per_type_raw: dict[tuple[int, ...], int] = field(default_factory=dict)
-    deduped: bool = True
+    per_type_raw: dict[tuple[int, ...], int]
+
+    @property
+    def class_count(self) -> int:
+        return len(self.representatives)
+
+    @property
+    def raw_count(self) -> int:
+        return sum(self.per_type_raw.values())
 
     def __iter__(self):
         return iter(self.representatives)
@@ -427,7 +429,7 @@ def _partition_values(factors: tuple[int, ...]) -> list[int]:
     return [int(v) for v in np.flatnonzero(_search_inputs(factors)[0])]
 
 
-def time_budget_secs() -> float:
+def time_budget() -> float:
     """Enumeration wall-clock budget from RINGCENT_TIME_BUDGET_SECS, 120 s
     when unset; anything but a positive number of seconds is a RingError."""
     raw = os.environ.get(ENV_TIME_BUDGET, "").strip()
@@ -445,10 +447,9 @@ def time_budget_secs() -> float:
     return value
 
 
-def enumerate_rings(n: int, up_to_iso: bool = True,
-                    out_dir: Optional[str] = None, resume: bool = False,
-                    budget_secs: Optional[float] = None) -> IsoClassCatalog:
-    """Catalog of all rings of order n, optionally deduped by isomorphism.
+def enumerate_rings(n: int, out_dir: Optional[str] = None,
+                    resume: bool = False) -> IsoClassCatalog:
+    """Catalog of the isomorphism classes of rings of order n.
 
     Dedup walks the raw structures of each group type in search order and
     takes the Aut(G)-orbit of each one not yet covered (_orbit_classes): two
@@ -459,10 +460,10 @@ def enumerate_rings(n: int, up_to_iso: bool = True,
     tables canonical_form gives).  isomorphic stays out of it, as the
     independent check.
 
-    The search is bounded by a wall-clock deadline budget_secs from the start
-    (default time_budget_secs()); a search still running at the deadline
-    raises PartialUniverse, saying how far the run got, instead of returning
-    a silently truncated catalog.  With out_dir set, each partition's rows
+    The search is bounded by a wall-clock deadline time_budget() from the
+    start; a search still running at the deadline raises PartialUniverse,
+    saying how far the run got, instead of returning a silently truncated
+    catalog.  With out_dir set, each partition's rows
     go to a part file and the manifest is rewritten after every partition,
     so however the run stops, resume=True reuses the part files the
     manifest records as done, if they match it (see _load_part).
@@ -473,7 +474,7 @@ def enumerate_rings(n: int, up_to_iso: bool = True,
         raise TooLarge("order must be >= 1")
     if resume and not out_dir:
         raise RingError("resume needs out_dir, the catalog to resume from")
-    budget = budget_secs if budget_secs is not None else time_budget_secs()
+    budget = time_budget()
     start = time.monotonic()
     deadline = start + budget
     out_path = Path(out_dir) if out_dir else None
@@ -522,22 +523,13 @@ def enumerate_rings(n: int, up_to_iso: bool = True,
                             complete=False)
         raw_rows[factors] = np.concatenate(parts)
 
-    per_type_raw = {factors: rows.shape[0] for factors, rows in raw_rows.items()}
-    raw_count = sum(per_type_raw.values())
     reps = []
     for factors, rows in raw_rows.items():
-        if up_to_iso:
-            table = _min_group_table(factors)[0]
-            reps.extend(validate(FiniteRing(table, cmul, f"o{n}_c{len(reps):03d}"))
-                        for cmul in _orbit_classes(factors, rows))
-        else:
-            # no validate: the search guarantees associativity, and
-            # bilinearity guarantees distributivity
-            add, muls = structure_tables(factors, _constants(factors, rows))
-            reps.extend(FiniteRing(add, mul, f"o{n}_r{len(reps):04d}")
-                        for mul in muls)
-    catalog = IsoClassCatalog(n, reps, raw_count, len(reps) if up_to_iso else None,
-                              per_type_raw, up_to_iso)
+        table = _min_group_table(factors)[0]
+        reps.extend(validate(FiniteRing(table, cmul, f"o{n}_c{len(reps):03d}"))
+                    for cmul in _orbit_classes(factors, rows))
+    catalog = IsoClassCatalog(
+        n, reps, {factors: rows.shape[0] for factors, rows in raw_rows.items()})
     _flush_manifest(out_path, n, partition_log, complete=True, catalog=catalog)
     return catalog
 
@@ -577,8 +569,9 @@ def _save_part(out_path, name, factors, v, assignments) -> None:
 
 def _load_part(out_path, name, recorded, factors, v) -> Optional[np.ndarray]:
     """Rows of partition (factors, g1*g1 = v) if the manifest records it as
-    done and its part file parses and matches that entry on group, g1*g1
-    and row count; otherwise None, and the partition is searched again."""
+    done and its part file parses, matches that entry on group, g1*g1 and
+    row count, and names only elements of the group; otherwise None, and the
+    partition is searched again."""
     done = [e for e in recorded if e.get("factors") == list(factors)
             and e.get("g11") == v and e.get("status") == "done" and e.get("file")]
     if not done:
@@ -588,7 +581,8 @@ def _load_part(out_path, name, recorded, factors, v) -> Optional[np.ndarray]:
         rows = np.asarray(doc["assignments"], dtype=np.int64)
         rows = rows.reshape(-1, len(factors) ** 2)
         ok = (tuple(doc["factors"]) == factors and doc["g11"] == v
-              and rows.shape[0] == done[0].get("raw_count"))
+              and rows.shape[0] == done[0].get("raw_count")
+              and ((rows >= 0) & (rows < math.prod(factors))).all())
     except (OSError, ValueError, KeyError, TypeError):
         return None
     return rows if ok else None
@@ -633,11 +627,11 @@ def read_catalog(path) -> IsoClassCatalog:
                         f"malformed ({exc.__class__.__name__}: {exc})") from None
     if not doc.get("complete"):
         raise PartialUniverse(f"catalog at {path} is incomplete")
-    reps = [validate(RingSpec.load(file)) for file in files]
-    return IsoClassCatalog(
-        order, reps, doc.get("raw_total", 0), doc.get("classes"),
-        per_type, True,
-    )
+    if doc.get("classes") != len(files):
+        raise RingError(f"catalog at {path}: manifest.json counts "
+                        f"{doc.get('classes')} classes but lists {len(files)} rings")
+    return IsoClassCatalog(order, [validate(RingSpec.load(file)) for file in files],
+                           per_type)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +643,7 @@ _catalog_cache: dict[int, IsoClassCatalog] = {}
 
 def cached_catalog(n: int) -> IsoClassCatalog:
     if n not in _catalog_cache:
-        _catalog_cache[n] = enumerate_rings(n, True)
+        _catalog_cache[n] = enumerate_rings(n)
     return _catalog_cache[n]
 
 

@@ -142,6 +142,13 @@ BAD_INPUTS = {
     "gallery_param_unused": ["inspect", "gallery:four_element_matrix_ring:7"],
     "gallery_four_fields": ["inspect", "gallery:row_ring:3:9"],
     "catalog_many_rings": ["inspect", "catalog:2"],
+    # files that cannot be written
+    "inspect_emit_no_dir": ["inspect", "gallery:row_ring:2",
+                            "--emit", "{dir}/missing/x.json"],
+    "product_emit_no_dir": ["product", "gallery:row_ring:2", "gallery:row_ring:2",
+                            "--emit", "{dir}/missing/x.json"],
+    "enumerate_out_is_a_file": ["enumerate", "--order", "2",
+                                "--out", "{dir}/ragged.json"],
 }
 
 
@@ -180,7 +187,7 @@ def test_bad_time_budget_env_exit_code(capsys, monkeypatch, raw):
 
 def test_enumerate_and_verify_catalog_dir(tmp_path, capsys):
     out_dir = tmp_path / "cat4"
-    code, out = run_cli(capsys, "enumerate", "--order", "4", "--up-to-iso",
+    code, out = run_cli(capsys, "enumerate", "--order", "4",
                         "--out", str(out_dir))
     assert code == 0
     assert "11 isomorphism classes" in out
@@ -212,9 +219,8 @@ def test_duplicate_order_and_parameter_flags_are_gone(argv, capsys):
 
 def test_enumerate_resume(tmp_path, capsys):
     out_dir = tmp_path / "cat6"
-    run_cli(capsys, "enumerate", "--order", "6", "--up-to-iso",
-            "--out", str(out_dir))
-    code, out = run_cli(capsys, "enumerate", "--order", "6", "--up-to-iso",
+    run_cli(capsys, "enumerate", "--order", "6", "--out", str(out_dir))
+    code, out = run_cli(capsys, "enumerate", "--order", "6",
                         "--out", str(out_dir), "--resume")
     assert code == 0
     assert "4 isomorphism classes" in out
@@ -222,7 +228,7 @@ def test_enumerate_resume(tmp_path, capsys):
 
 def test_enumerate_resume_without_out_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "--order", "4", "--up-to-iso", "--resume"])
+        main(["enumerate", "--order", "4", "--resume"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "--resume needs --out" in captured.err

@@ -13,6 +13,7 @@ from ringcent import (
     FiniteRing,
     PartialUniverse,
     RingError,
+    RingSpec,
     TooLarge,
     canonical_form,
     cent_set,
@@ -25,6 +26,7 @@ from ringcent.enumeration import (
     _constants,
     _min_group_automorphisms,
     _min_group_table,
+    _orbit_classes,
     _partition_values,
     coordinates,
     element_fingerprints,
@@ -33,11 +35,21 @@ from ringcent.enumeration import (
     read_catalog,
     ring_fingerprint,
     search_n_centralizer,
-    structure_to_ring,
 )
 from ringcent.gallery import direct_product, modular_ring, row_ring
 from ringcent.groups import abelian_group_types, group_add_table, radix_weights
 from ringcent.rings import structure_tables
+
+
+def raw_rings(n):
+    """Every raw structure of order n as a ring, in search order, unvalidated
+    (the search guarantees associativity, bilinearity distributivity)."""
+    rings = []
+    for factors in abelian_group_types(n):
+        rows = raw_structures(factors)
+        add, muls = structure_tables(factors, _constants(factors, rows))
+        rings.extend(FiniteRing(add, mul, f"o{n}_r{len(rings):04d}") for mul in muls)
+    return rings
 
 
 # --- isomorphism -------------------------------------------------------------
@@ -237,7 +249,7 @@ def test_raw_structures_canonicalize_onto_catalog_by_their_own_basis(catalog):
         reps = {R.add.tobytes() + R.mul.tobytes()
                 for R in catalog(n).representatives}
         forms = set()
-        for ring in enumerate_rings(n, up_to_iso=False).representatives:
+        for ring in raw_rings(n):
             c = canonical_form(ring)
             form = c.add.tobytes() + c.mul.tobytes()
             assert form in reps, (n, ring.label)
@@ -343,7 +355,8 @@ def test_partition_merge_equals_unpartitioned():
 
 def test_structure_to_ring_validates():
     arr = raw_structures((3,))
-    rings = [structure_to_ring((3,), row) for row in arr]
+    rings = [validate(RingSpec.structure([3], _constants((3,), row).tolist()))
+             for row in arr]
     assert len(rings) == 3
     assert sum(1 for r in rings if r.is_commutative) == 3
 
@@ -375,7 +388,7 @@ def test_every_raw_order_8_structure_is_isomorphic_to_its_class(catalog):
     # tables equal a raw structure's canonical form must be isomorphic to it
     by_form = {R.add.tobytes() + R.mul.tobytes(): R
                for R in catalog(8).representatives}
-    raw = enumerate_rings(8, up_to_iso=False).representatives
+    raw = raw_rings(8)
     assert len(raw) == 1756
     for ring in raw:
         c = canonical_form(ring)
@@ -385,9 +398,8 @@ def test_every_raw_order_8_structure_is_isomorphic_to_its_class(catalog):
 
 def test_catalog_covers_every_raw_structure(catalog):
     # completeness at order 6: each raw structure hits exactly one class
-    raw = enumerate_rings(6, up_to_iso=False)
     reps = catalog(6).representatives
-    for ring in raw.representatives:
+    for ring in raw_rings(6):
         hits = [i for i, rep in enumerate(reps) if isomorphic(rep, ring)]
         assert len(hits) == 1
 
@@ -402,15 +414,20 @@ def test_enumeration_rejects_large_orders():
         enumerate_rings(17)
 
 
-def test_tiny_budget_aborts_with_partial_universe():
-    with pytest.raises(PartialUniverse):
-        enumerate_rings(16, budget_secs=0.000001)
+def test_tiny_budget_aborts_with_partial_universe(monkeypatch, capsys):
+    # the CLI reads the same deadline as the API
+    from ringcent.cli import main
+
+    monkeypatch.setenv("RINGCENT_TIME_BUDGET_SECS", "0.000001")
+    assert main(["enumerate", "--order", "16"]) == 2
+    assert capsys.readouterr().err.startswith("error: PartialUniverse: time budget")
 
 
-def test_budget_is_a_wall_clock_deadline(tmp_path):
+def test_budget_is_a_wall_clock_deadline(tmp_path, monkeypatch):
+    monkeypatch.setenv("RINGCENT_TIME_BUDGET_SECS", "0.5")
     start = time.monotonic()
     with pytest.raises(PartialUniverse) as err:
-        enumerate_rings(16, budget_secs=0.5, out_dir=str(tmp_path))
+        enumerate_rings(16, out_dir=str(tmp_path))
     assert time.monotonic() - start < 1.5
     m = re.fullmatch(
         r"time budget ran out on group \[([\d, ]+)\], partition g1\*g1=(\d+), "
@@ -480,7 +497,7 @@ def _largest_part(out):
 
 
 @pytest.mark.parametrize("damage", ["shortened", "truncated", "manifest",
-                                    "records", "record"])
+                                    "records", "record", "99", "-1"])
 def test_resume_searches_damaged_parts_again(tmp_path, damage):
     out = tmp_path / "cat9"
     fresh = enumerate_rings(9, out_dir=str(out))
@@ -492,6 +509,10 @@ def test_resume_searches_damaged_parts_again(tmp_path, damage):
         part.write_text(json.dumps(doc))
     elif damage == "truncated":  # cut mid-file, as a crash mid-write leaves it
         part.write_text(whole[: len(whole) // 2])
+    elif damage in ("99", "-1"):  # a value that is no element of Z_9 or Z_3^2
+        doc = json.loads(whole)
+        doc["assignments"][0][0] = int(damage)
+        part.write_text(json.dumps(doc))
     elif damage == "manifest":  # unreadable: every partition is searched again
         manifest = out / "manifest.json"
         manifest.write_text(manifest.read_text()[:100])
@@ -597,8 +618,25 @@ def test_resume_without_out_dir_is_an_error():
         enumerate_rings(4, resume=True)
 
 
-def test_enumerate_not_deduped_keeps_raw():
-    cat = enumerate_rings(3, up_to_iso=False)
-    assert cat.deduped is False
-    assert cat.class_count is None
-    assert len(cat.representatives) == cat.raw_count == 3
+def test_catalog_counts_are_derived(tmp_path):
+    # Z_3 carries 3 raw structures in 2 classes: the zero ring and the field
+    cat = enumerate_rings(3, out_dir=str(tmp_path))
+    assert cat.per_type_raw == {(3,): 3}
+    assert cat.class_count == len(cat.representatives) == 2
+    assert cat.raw_count == 3
+    loaded = read_catalog(tmp_path)
+    assert (loaded.class_count, loaded.raw_count) == (2, 3)
+    manifest = tmp_path / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    assert (doc["classes"], doc["raw_total"]) == (2, 3)
+    doc["classes"] = 3  # disagrees with the ring list
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(RingError, match="counts 3 classes but lists 2 rings"):
+        read_catalog(tmp_path)
+
+
+def test_orbit_classes_do_not_pin_their_transport_stacks():
+    classes = _orbit_classes((2, 2, 2), raw_structures((2, 2, 2)))
+    assert len(classes) == 28
+    for table in classes:
+        assert table.base is None or table.base.nbytes <= table.nbytes
