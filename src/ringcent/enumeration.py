@@ -630,6 +630,10 @@ def read_catalog(path) -> IsoClassCatalog:
     if doc.get("classes") != len(files):
         raise RingError(f"catalog at {path}: manifest.json counts "
                         f"{doc.get('classes')} classes but lists {len(files)} rings")
+    if doc.get("raw_total") != sum(per_type.values()):
+        raise RingError(f"catalog at {path}: manifest.json counts "
+                        f"{doc.get('raw_total')} raw rings but its per_type_raw "
+                        f"sums to {sum(per_type.values())}")
     return IsoClassCatalog(order, [validate(RingSpec.load(file)) for file in files],
                            per_type)
 

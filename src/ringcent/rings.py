@@ -377,23 +377,61 @@ def _cyclic_steps(R: FiniteRing, b: int) -> list[int]:
     return out
 
 
-def join(R: FiniteRing, span: set[int], x: int) -> set[int]:
-    """S + <x> for an additive subgroup S: the union of the cosets S + m*x."""
-    out = set(span)
-    for m in _cyclic_steps(R, x)[1:]:
-        out.update(int(R.add[s, m]) for s in span)
-    return out
-
-
 def additive_closure(R: FiniteRing, seed: Iterable[int]) -> ElementSet:
-    """Smallest additive subgroup containing the seed elements."""
-    span = {0}
-    for x in seed:
-        span = join(R, span, int(x))
-    return ElementSet.of(span, R.order)
+    """Smallest additive subgroup containing the seed elements: every sum
+    of seed elements, reached breadth-first from 0."""
+    gens = np.array(ElementSet.of(seed, R.order).members, dtype=np.int64)
+    mask = np.zeros(R.order, dtype=bool)
+    mask[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        sums = np.unique(R.add[np.ix_(frontier, gens)])
+        frontier = sums[~mask[sums]]
+        mask[frontier] = True
+    return ElementSet(tuple(np.flatnonzero(mask).tolist()), R.order)
 
 
 MAX_SUBGROUPS = 100_000
+# The lattice handles its subgroups a block at a time, each subgroup a row of
+# a boolean member mask; BLOCK_CELLS bounds the cells of every temporary of
+# a block, whatever the order of the ring.
+BLOCK_CELLS = 1 << 16
+
+
+def _multiples(add: np.ndarray) -> np.ndarray:
+    """Table m[x, j] = j*x for j below the exponent of the group, built by
+    doubling the number of columns until j*x wraps round for every x."""
+    n = add.shape[0]
+    m = np.zeros((n, 1), dtype=np.int64)
+    step = np.arange(n)  # w*x for the current width w
+    while m.shape[1] < n and step.any():
+        m = np.concatenate([m, add[m, step[:, None]]], axis=1)
+        step = add[step, step]
+    zero = np.flatnonzero(~m.any(axis=0))  # j with j*x = 0 for every x
+    return m[:, :zero[1]] if zero.size > 1 else m
+
+
+def _masks(keys: list[bytes], n: int) -> np.ndarray:
+    """Member masks, one row per np.packbits row key."""
+    packed = np.frombuffer(b"".join(keys), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(keys), -1), axis=1, count=n).view(bool)
+
+
+def _joins(add16: np.ndarray, mult: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """S + <x> for every subgroup S (a row of M) and one x per coset x + S
+    other than S, as mask rows."""
+    n = add16.shape[0]
+    # label[S, y] = least element of y + S, a masked min over S's columns
+    label = np.maximum(add16, (~M * np.int16(n))[:, None, :]).min(axis=2)
+    least = label == np.arange(n, dtype=np.int16)
+    least[:, 0] = False  # the coset S itself
+    row, x = np.nonzero(least)
+    # S + <x> is the union of the cosets S + j*x: the y whose label is hit
+    # (flat indices into label and into the (pair, label) table of hits)
+    hit = np.zeros(row.size * n, dtype=bool)
+    base = (np.arange(row.size) * n)[:, None]
+    hit[base + label.ravel()[(row * n)[:, None] + mult[x]]] = True
+    return hit[base + label[row]]
 
 
 def additive_subgroups(R: FiniteRing) -> list[ElementSet]:
@@ -401,30 +439,64 @@ def additive_subgroups(R: FiniteRing) -> list[ElementSet]:
 
     Built breadth-first from {0}: each subgroup S is extended to S + <x> for
     one x per coset x + S, since every element of a coset gives the same
-    S + <x>.  More than MAX_SUBGROUPS subgroups is TooLarge.
+    S + <x>.  Each level is handled BLOCK_CELLS // n**2 subgroups at a time
+    and deduplicated on packed mask bytes.  More than MAX_SUBGROUPS
+    subgroups is TooLarge.
     """
-    seen = {frozenset([0])}
-    frontier = list(seen)
+    n = R.order
+    add16 = R.add.astype(np.int16)
+    mult = _multiples(R.add)
+    rows = max(1, BLOCK_CELLS // (n * n))
+    zero = np.packbits(np.arange(n) == 0).tobytes()
+    width = len(zero)
+    whole = np.packbits(np.ones(n, dtype=bool)).tobytes()  # extends to nothing
+    seen = {zero, whole}
+    frontier = [zero] if n > 1 else []
     while frontier:
-        nxt = []
-        for S in frontier:
-            covered = set(S)
-            for x in range(1, R.order):
-                if x in covered:
-                    continue
-                covered.update(int(R.add[x, s]) for s in S)
-                T = frozenset(join(R, S, x))
-                if T not in seen:
-                    if len(seen) >= MAX_SUBGROUPS:
-                        raise TooLarge(f"more than {MAX_SUBGROUPS} additive "
-                                       f"subgroups in {R.label}")
-                    seen.add(T)
-                    nxt.append(T)
-        frontier = nxt
-    return sorted((ElementSet.of(S, R.order) for S in seen),
-                  key=lambda s: (len(s), s.members))
+        new = []
+        for start in range(0, len(frontier), rows):
+            joins = _joins(add16, mult, _masks(frontier[start:start + rows], n))
+            buf = np.packbits(joins, axis=1).tobytes()
+            for i in range(0, len(buf), width):
+                key = buf[i:i + width]
+                if key not in seen:
+                    seen.add(key)
+                    new.append(key)
+            if len(seen) > MAX_SUBGROUPS:
+                raise TooLarge(f"more than {MAX_SUBGROUPS} additive "
+                               f"subgroups in {R.label}")
+        frontier = new
+    masks = _masks(list(seen), n)
+    members = np.nonzero(masks)[1].tolist()
+    ends = np.cumsum(masks.sum(axis=1)).tolist()
+    return sorted((ElementSet(tuple(members[a:b]), n) for a, b in zip([0, *ends], ends)),
+                  key=lambda S: (len(S), S.members))
 
 
 def subrings(R: FiniteRing) -> list[ElementSet]:
-    """All subrings (additive subgroups closed under multiplication)."""
-    return [S for S in additive_subgroups(R) if _closed(R.mul, S)]
+    """All subrings: the additive subgroups closed under multiplication.
+
+    A block of subgroups is tested at once on the products of its members.
+    Each subgroup's members are padded to the block's widest with 0, whose
+    products are 0 again; the subgroups come smallest first, and a block
+    grows while its products and its member masks fit in BLOCK_CELLS cells.
+    """
+    groups = additive_subgroups(R)
+    out = []
+    start = 0
+    while start < len(groups):
+        end = start + 1
+        while (end < len(groups) and (end + 1 - start) * max(
+                len(groups[end]) ** 2, R.order) <= BLOCK_CELLS):
+            end += 1
+        block = groups[start:end]
+        width = len(block[-1])
+        members = np.array([S.members + (0,) * (width - len(S)) for S in block])
+        row = np.arange(len(block))[:, None]
+        inside = np.zeros((len(block), R.order), dtype=bool)
+        inside[row, members] = True
+        products = R.mul[members[:, :, None], members[:, None, :]]
+        closed = inside[row, products.reshape(len(block), -1)].all(axis=1)
+        out.extend(S for S, ok in zip(block, closed) if ok)
+        start = end
+    return out

@@ -635,6 +635,17 @@ def test_catalog_counts_are_derived(tmp_path):
         read_catalog(tmp_path)
 
 
+def test_read_catalog_checks_the_raw_total(tmp_path):
+    enumerate_rings(3, out_dir=str(tmp_path))
+    manifest = tmp_path / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["raw_total"] = 99  # per_type_raw still sums to 3
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(RingError, match="counts 99 raw rings but its "
+                                        "per_type_raw sums to 3"):
+        read_catalog(tmp_path)
+
+
 def test_orbit_classes_do_not_pin_their_transport_stacks():
     classes = _orbit_classes((2, 2, 2), raw_structures((2, 2, 2)))
     assert len(classes) == 28

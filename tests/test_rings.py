@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ringcent import (
     BadIdentityConvention,
+    FiniteRing,
     ElementSet,
     IndexOutOfRange,
     NoAdditiveInverse,
@@ -23,6 +24,7 @@ from ringcent import (
     set_sum,
     validate,
 )
+from ringcent import groups, rings
 from ringcent.gallery import direct_product, modular_ring, row_ring
 from ringcent.rings import (
     additive_closure,
@@ -296,6 +298,59 @@ def test_subgroup_count_over_the_ceiling_is_too_large(monkeypatch):
     monkeypatch.setattr("ringcent.rings.MAX_SUBGROUPS", 50)
     with pytest.raises(TooLarge):
         additive_subgroups(R)
+
+
+def _zero_ring(factors):
+    """Z_{d1} x ... x Z_{dk} with every product 0."""
+    add = groups.group_add_table(factors)
+    return FiniteRing(add, np.zeros_like(add), "zero ring on " + repr(factors))
+
+
+# Subgroup counts of zero-multiplication rings, a route to lattices far beyond
+# the brute-force oracle: the Galois numbers of Z_2^k (OEIS A006116) and Z_3^k
+# (A006117), and the counts of Z_4 x Z_4, Z_2 x Z_8, Z_5^3 and Z_256.
+SUBGROUP_COUNTS = {
+    **{f"Z_2^{k}": ((2,) * k, count)
+       for k, count in enumerate([1, 2, 5, 16, 67, 374, 2825])},
+    **{f"Z_3^{k}": ((3,) * k, count) for k, count in enumerate([1, 2, 6, 28, 212])},
+    "Z_4xZ_4": ((4, 4), 15), "Z_2xZ_8": ((2, 8), 11),
+    "Z_5^3": ((5, 5, 5), 64), "Z_256": ((256,), 9),
+}
+
+
+@pytest.mark.parametrize("factors,count", SUBGROUP_COUNTS.values(),
+                         ids=SUBGROUP_COUNTS.keys())
+def test_subgroup_counts_of_zero_rings_are_the_published_numbers(factors, count):
+    R = _zero_ring(factors)
+    found = additive_subgroups(R)
+    assert len(found) == count
+    assert found[0].members == (0,) and len(found[-1]) == R.order
+    # every subgroup of a zero ring is a subring
+    assert [S.members for S in subrings(R)] == [S.members for S in found]
+
+
+def test_subrings_are_the_subgroups_closed_under_multiplication(small_universe,
+                                                                gallery_rings):
+    for R in [*small_universe, *gallery_rings]:
+        expected = [S for S in additive_subgroups(R) if is_subring(R, S)]
+        assert subrings(R) == expected, R.label
+
+
+def test_the_ceiling_stops_a_lattice_of_order_256_within_its_level(monkeypatch):
+    # Z_2^8 has 10795 subgroups of order 4, all found from the 255 of order 2:
+    # the ceiling is checked after each block, before that level is done
+    blocks = []
+    joins = rings._joins
+
+    def counted_joins(*args):
+        blocks.append(len(args[-1]))
+        return joins(*args)
+
+    monkeypatch.setattr(rings, "_joins", counted_joins)
+    monkeypatch.setattr(rings, "MAX_SUBGROUPS", 3000)
+    with pytest.raises(TooLarge, match="more than 3000 additive subgroups"):
+        additive_subgroups(_zero_ring((2,) * 8))
+    assert 1 < len(blocks) and sum(blocks) < 1 + 255
 
 
 def test_additive_closure():
