@@ -91,14 +91,20 @@ def quaternion_ring(p: int) -> FiniteRing:
 
 
 def direct_product(R: FiniteRing, S: FiniteRing) -> FiniteRing:
-    """Componentwise ring on pairs; index = r*|S| + s."""
+    """Componentwise ring on pairs; index = r*|S| + s.  A law holds on
+    R x S exactly when it holds on R and on S, so the product of two proved
+    rings is proved as built; otherwise validate checks it."""
     n = R.order * S.order
     if n > MAX_ORDER:
         raise TooLarge(f"product order {n} > {MAX_ORDER}")
     m = S.order
     add = (R.add[:, None, :, None] * m + S.add[None, :, None, :]).reshape(n, n)
     mul = (R.mul[:, None, :, None] * m + S.mul[None, :, None, :]).reshape(n, n)
-    return validate(FiniteRing(add, mul, f"({R.label} x {S.label})"))
+    P = FiniteRing(add, mul, f"({R.label} x {S.label})")
+    if R.proved and S.proved:
+        P.proved = True
+        return P
+    return validate(P)
 
 
 @lru_cache(maxsize=None)

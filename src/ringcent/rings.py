@@ -1,10 +1,14 @@
 """Finite rings as validated Cayley tables, plus element-set algebra.
 
 A ring of order n is a pair of n x n tables over element indices 0..n-1 with
-index 0 the additive identity.  Validation is eager and total: every law is
-proved on load for every triple, so downstream code never revalidates.  The
-kernels prove the laws on the additive generators and scan triples only to
-name the first failure of a table that is not a ring.
+index 0 the additive identity.  Validation is eager and total: validate
+proves every law on load and marks the ring it returns as proved, so
+downstream code never revalidates.  The kernels prove each law on the
+additive generators, which proves it for every triple, and scan triples only
+to name the first failure of a table that is not a ring.  A direct product of
+two proved rings inherits the proof (gallery.direct_product).  validate on a
+FiniteRing always proves again; any other new FiniteRing, from the
+constructor, relabel or opposite, is unproved.
 """
 
 import json
@@ -77,6 +81,8 @@ def additive_orders(add: np.ndarray) -> np.ndarray:
 class FiniteRing:
     """Order-n ring as immutable addition and multiplication tables."""
 
+    proved = False  # True once validate has proved every law on the tables
+
     def __init__(self, add: np.ndarray, mul: np.ndarray, label: Optional[str] = None):
         add = np.ascontiguousarray(np.asarray(add, dtype=np.int64))
         mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int64))
@@ -118,6 +124,10 @@ class FiniteRing:
     def relabel(self, perm: np.ndarray, label: Optional[str] = None) -> "FiniteRing":
         """Transport the tables along new_index -> old_index map `perm`."""
         perm = np.asarray(perm, dtype=np.int64)
+        if perm.shape != (self.order,) or not np.array_equal(
+                np.sort(perm), np.arange(self.order)):
+            raise IndexOutOfRange(
+                f"relabel map is not a permutation of 0..{self.order - 1}")
         inv = np.empty_like(perm)
         inv[perm] = np.arange(self.order)
         add = inv[self.add[np.ix_(perm, perm)]]
@@ -312,7 +322,9 @@ def validate(spec) -> FiniteRing:
             at = f" at triple ({i}, {j}, {k})" if k >= 0 else ""
             raise error(message.format(i=i, j=j, top=max(i, j)) + at)
 
-    return FiniteRing(add, mul, spec.label)
+    ring = FiniteRing(add, mul, spec.label)
+    ring.proved = True
+    return ring
 
 
 def load_ring(path) -> FiniteRing:

@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ringcent.cli import build_parser, main
@@ -66,6 +67,21 @@ def test_gallery_emit_round_trip(tmp_path, capsys):
     code, out = run_cli(capsys, "inspect", str(path))
     assert code == 0
     assert "|Cent(R)|: 4" in out
+
+
+def test_product_emit_round_trips_through_the_full_proof(tmp_path, capsys):
+    from ringcent.gallery import direct_product, row_ring
+    from ringcent.rings import load_ring
+
+    path = tmp_path / "r2xr3.json"
+    code, _ = run_cli(capsys, "product", "gallery:row_ring:2", "gallery:row_ring:3",
+                      "--emit", str(path))
+    assert code == 0
+    loaded = load_ring(path)  # validate proves every law on load
+    built = direct_product(row_ring(2), row_ring(3))
+    assert loaded.proved and loaded.label == built.label
+    assert np.array_equal(loaded.add, built.add)
+    assert np.array_equal(loaded.mul, built.mul)
 
 
 def test_gallery_bad_param_exit_code(capsys):

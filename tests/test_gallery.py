@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from ringcent import (
+    FiniteRing,
+    NotAssociative,
     NotOddPrime,
     NotPrime,
     RingError,
@@ -225,3 +227,57 @@ def test_quotient_of_row_rings_is_p_p():
     for p in (2, 3, 5, 7, 11):
         R = row_ring(p)
         assert quotient_type(R, center(R)).invariant_factors == (p, p)
+
+
+# --- a product of proved rings keeps the proof ---------------------------------
+
+
+@pytest.mark.parametrize("token", ["gallery", "catalog:8"])
+def test_every_product_p2_samples_passes_the_full_proof(token, monkeypatch):
+    from ringcent import gallery, run_suite
+    from ringcent.suites import load_universe
+
+    universe, _ = load_universe(token)
+    products = []
+
+    def recording(R, S):
+        products.append((R, S, direct_product(R, S)))
+        return products[-1][2]
+
+    monkeypatch.setattr(gallery, "direct_product", recording)
+    assert run_suite("P2_product", universe).passed
+    assert len(products) == 60
+    for R, S, P in products:
+        assert R.proved and S.proved and P.proved
+        proved = validate(P)  # the law proof the product skipped
+        # unproved copies of the factors send the product through validate
+        checked = direct_product(FiniteRing(R.add, R.mul), FiniteRing(S.add, S.mul))
+        for ring in (proved, checked):
+            assert np.array_equal(ring.add, P.add)
+            assert np.array_equal(ring.mul, P.mul)
+
+
+def test_product_of_proved_rings_runs_no_law_kernel(monkeypatch):
+    from ringcent import kernels
+
+    R, S = row_ring(2), modular_ring(3)
+
+    def refuse(*tables):
+        raise AssertionError("a law kernel ran on a product of proved rings")
+
+    for name in ("add_table_check", "mul_assoc_check", "distrib_check"):
+        monkeypatch.setattr(kernels, name, refuse)
+    P = direct_product(R, S)
+    assert P.proved and P.order == 12
+    with pytest.raises(AssertionError, match="law kernel ran"):
+        validate(P)  # validate on a FiniteRing always proves again
+
+
+def test_product_of_a_forced_mutant_names_the_first_failing_triple():
+    R = row_ring(2)
+    mul = R.mul.copy()
+    mul[3][2] = 1
+    forced = FiniteRing(R.add, mul, "mutant")
+    with pytest.raises(NotAssociative) as info:
+        direct_product(forced, forced)
+    assert str(info.value) == "multiplication not associative at triple (3, 2, 1)"

@@ -371,3 +371,25 @@ def test_relabeling_preserves_validity(perm):
     moved = R.relabel(full)
     validate(moved)  # all laws survive any relabeling fixing 0
     assert moved.order == R.order
+
+
+# --- relabel takes a permutation; only validate marks a ring proved -----------
+
+
+@pytest.mark.parametrize("perm", [[0, 1, 1, 3], [0, 1, 2], [[0, 1], [2, 3]]])
+def test_relabel_rejects_a_map_that_is_not_a_permutation(perm):
+    # a repeated index left uninitialised entries in the tables; a short map
+    # raised a bare numpy ValueError
+    with pytest.raises(IndexOutOfRange, match=r"not a permutation of 0\.\.3"):
+        row_ring(2).relabel(perm)
+
+
+def test_only_validate_marks_a_ring_proved():
+    R = row_ring(2)
+    assert R.proved
+    bare = FiniteRing(R.add, R.mul)
+    assert not bare.proved
+    assert not R.relabel([0, 2, 1, 3]).proved
+    assert not R.opposite().proved
+    assert validate(bare).proved
+    assert not bare.proved  # validate returns a new ring; its input is untouched
