@@ -3,9 +3,10 @@
 The search space for order n is, per abelian group of that order, every
 assignment of generator products compatible with the generator orders;
 associativity is enforced on generators (bilinearity gives the rest, and
-distributivity is automatic).  The space is partitioned by the value of
-g1*g1 and partitions are merged in a fixed order, so results are
-deterministic however the work is scheduled.
+distributivity is automatic).  Each group type is searched whole; a run
+that keeps a journal searches one g1*g1 partition at a time, the unit the
+journal records, and stacks the partitions in g1*g1 order, which gives the
+same rows.
 """
 
 import json
@@ -447,6 +448,15 @@ def time_budget() -> float:
     return value
 
 
+def _stopped(exc: PartialUniverse, progress: str, start: float,
+             budget: float) -> PartialUniverse:
+    """exc, the search that ran out of time, with how far the run got."""
+    return PartialUniverse(
+        f"{exc}; {progress} finished, {time.monotonic() - start:.2f} s ran "
+        f"against a {budget:g} s budget"
+    )
+
+
 def enumerate_rings(n: int, out_dir: Optional[str] = None,
                     resume: bool = False) -> IsoClassCatalog:
     """Catalog of the isomorphism classes of rings of order n.
@@ -463,10 +473,12 @@ def enumerate_rings(n: int, out_dir: Optional[str] = None,
     The search is bounded by a wall-clock deadline time_budget() from the
     start; a search still running at the deadline raises PartialUniverse,
     saying how far the run got, instead of returning a silently truncated
-    catalog.  With out_dir set, each partition's rows
-    go to a part file and the manifest is rewritten after every partition,
-    so however the run stops, resume=True reuses the part files the
-    manifest records as done, if they match it (see _load_part).
+    catalog.  Without out_dir each group type is searched whole, in one
+    search.  With out_dir set, the search runs one g1*g1 partition at a
+    time (_journaled_search): each partition's rows go to a part file and
+    the manifest is rewritten after every partition, so however the run
+    stops, resume=True reuses the part files the manifest records as done,
+    if they match it (see _load_part).  Both routes give the same rows.
     """
     if n > MAX_ENUM_ORDER:
         raise TooLarge(f"exhaustive enumeration is capped at order {MAX_ENUM_ORDER}")
@@ -476,13 +488,43 @@ def enumerate_rings(n: int, out_dir: Optional[str] = None,
         raise RingError("resume needs out_dir, the catalog to resume from")
     budget = time_budget()
     start = time.monotonic()
-    deadline = start + budget
     out_path = Path(out_dir) if out_dir else None
-    recorded = _read_records(out_path, n) if (out_path and resume) else []
+    partition_log: list[dict] = []
     if out_path:
-        (out_path / "parts").mkdir(parents=True, exist_ok=True)
-        (out_path / "rings").mkdir(parents=True, exist_ok=True)
-        _flush_manifest(out_path, n, recorded, complete=False)
+        raw_rows, partition_log = _journaled_search(n, out_path, resume,
+                                                    start, budget)
+    else:
+        types = groups.abelian_group_types(n)
+        raw_rows = {}
+        for factors in types:
+            try:
+                raw_rows[factors] = raw_structures(factors,
+                                                   deadline=start + budget)
+            except PartialUniverse as exc:
+                raise _stopped(exc, f"{len(raw_rows)} of {len(types)} group "
+                               "types", start, budget) from None
+
+    reps = []
+    for factors, rows in raw_rows.items():
+        table = _min_group_table(factors)[0]
+        reps.extend(validate(FiniteRing(table, cmul, f"o{n}_c{len(reps):03d}"))
+                    for cmul in _orbit_classes(factors, rows))
+    catalog = IsoClassCatalog(
+        n, reps, {factors: rows.shape[0] for factors, rows in raw_rows.items()})
+    _flush_manifest(out_path, n, partition_log, complete=True, catalog=catalog)
+    return catalog
+
+
+def _journaled_search(n: int, out_path: Path, resume: bool, start: float,
+                      budget: float) -> tuple[dict, list[dict]]:
+    """The raw rows of each group type of order n, searched one g1*g1
+    partition at a time and stacked in g1*g1 order, and the partition log.
+    The partition is the journal unit: its rows go to a part file, and the
+    manifest at out_path is rewritten after each one, searched or reused."""
+    recorded = _read_records(out_path, n) if resume else []
+    (out_path / "parts").mkdir(parents=True, exist_ok=True)
+    (out_path / "rings").mkdir(parents=True, exist_ok=True)
+    _flush_manifest(out_path, n, recorded, complete=False)
 
     partition_log: list[dict] = []
     raw_rows: dict[tuple[int, ...], np.ndarray] = {}
@@ -502,16 +544,14 @@ def enumerate_rings(n: int, out_dir: Optional[str] = None,
             assignments = _load_part(out_path, part_name, recorded, factors, v)
             if assignments is None:
                 try:
-                    assignments = raw_structures(factors, g11=v, deadline=deadline)
+                    assignments = raw_structures(factors, g11=v,
+                                                 deadline=start + budget)
                 except PartialUniverse as exc:
-                    raise PartialUniverse(
-                        f"{exc}; {len(partition_log)} of "
-                        f"{sum(len(vs) for _, vs in partitions)} partitions "
-                        f"finished, {time.monotonic() - start:.2f} s ran "
-                        f"against a {budget:g} s budget"
-                    ) from None
-                if out_path:
-                    _save_part(out_path, part_name, factors, v, assignments)
+                    raise _stopped(
+                        exc, f"{len(partition_log)} of "
+                        f"{sum(len(vs) for _, vs in partitions)} partitions",
+                        start, budget) from None
+                _save_part(out_path, part_name, factors, v, assignments)
             parts.append(assignments)
             partition_log.append(
                 {"factors": list(factors), "g11": v,
@@ -522,16 +562,7 @@ def enumerate_rings(n: int, out_dir: Optional[str] = None,
             _flush_manifest(out_path, n, partition_log + recorded[len(partition_log):],
                             complete=False)
         raw_rows[factors] = np.concatenate(parts)
-
-    reps = []
-    for factors, rows in raw_rows.items():
-        table = _min_group_table(factors)[0]
-        reps.extend(validate(FiniteRing(table, cmul, f"o{n}_c{len(reps):03d}"))
-                    for cmul in _orbit_classes(factors, rows))
-    catalog = IsoClassCatalog(
-        n, reps, {factors: rows.shape[0] for factors, rows in raw_rows.items()})
-    _flush_manifest(out_path, n, partition_log, complete=True, catalog=catalog)
-    return catalog
+    return raw_rows, partition_log
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ constructor, relabel or opposite, is unproved.
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
@@ -449,15 +449,36 @@ def _joins(add16: np.ndarray, mult: np.ndarray, M: np.ndarray) -> np.ndarray:
 def additive_subgroups(R: FiniteRing) -> list[ElementSet]:
     """All additive subgroups, smallest first (then lexicographic).
 
+    The lattice depends on the addition table alone, so it is built once
+    per table content (_subgroup_lattice) and shared by every ring on that
+    table, as all catalog representatives of one group type are.  More than
+    MAX_SUBGROUPS subgroups, the ceiling as it reads at this call, is
+    TooLarge naming R.
+    """
+    try:
+        lattice = _subgroup_lattice(kernels._Table(R.add))
+        if len(lattice) <= MAX_SUBGROUPS:
+            return list(lattice)
+    except TooLarge:
+        pass
+    raise TooLarge(f"more than {MAX_SUBGROUPS} additive subgroups in {R.label}")
+
+
+@lru_cache(maxsize=1)
+def _subgroup_lattice(table) -> tuple[ElementSet, ...]:
+    """The additive subgroups of the addition table `table` (a
+    kernels._Table), in the order additive_subgroups returns them.
+
     Built breadth-first from {0}: each subgroup S is extended to S + <x> for
     one x per coset x + S, since every element of a coset gives the same
     S + <x>.  Each level is handled BLOCK_CELLS // n**2 subgroups at a time
-    and deduplicated on packed mask bytes.  More than MAX_SUBGROUPS
-    subgroups is TooLarge.
+    and deduplicated on packed mask bytes.  Past MAX_SUBGROUPS subgroups it
+    stops with TooLarge, which the cache does not keep.
     """
-    n = R.order
-    add16 = R.add.astype(np.int16)
-    mult = _multiples(R.add)
+    A = table.ref()
+    n = A.shape[0]
+    add16 = A.astype(np.int16)
+    mult = _multiples(A)
     rows = max(1, BLOCK_CELLS // (n * n))
     zero = np.packbits(np.arange(n) == 0).tobytes()
     width = len(zero)
@@ -475,14 +496,14 @@ def additive_subgroups(R: FiniteRing) -> list[ElementSet]:
                     seen.add(key)
                     new.append(key)
             if len(seen) > MAX_SUBGROUPS:
-                raise TooLarge(f"more than {MAX_SUBGROUPS} additive "
-                               f"subgroups in {R.label}")
+                raise TooLarge(f"more than {MAX_SUBGROUPS} additive subgroups")
         frontier = new
     masks = _masks(list(seen), n)
     members = np.nonzero(masks)[1].tolist()
     ends = np.cumsum(masks.sum(axis=1)).tolist()
-    return sorted((ElementSet(tuple(members[a:b]), n) for a, b in zip([0, *ends], ends)),
-                  key=lambda S: (len(S), S.members))
+    return tuple(sorted((ElementSet(tuple(members[a:b]), n)
+                         for a, b in zip([0, *ends], ends)),
+                        key=lambda S: (len(S), S.members)))
 
 
 def subrings(R: FiniteRing) -> list[ElementSet]:

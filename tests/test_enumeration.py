@@ -449,6 +449,27 @@ def test_budget_is_a_wall_clock_deadline(tmp_path, monkeypatch):
     assert len(manifest["partitions"]) == int(done)
 
 
+def test_budget_without_a_journal_names_the_group_types_finished(monkeypatch):
+    monkeypatch.setenv("RINGCENT_TIME_BUDGET_SECS", "0.5")
+    start = time.monotonic()
+    with pytest.raises(PartialUniverse) as err:
+        enumerate_rings(16)
+    assert time.monotonic() - start < 1.5
+    m = re.fullmatch(
+        r"time budget ran out on group \[([\d, ]+)\], after (\d+) search "
+        r"nodes; (\d+) of (\d+) group types finished, "
+        r"([\d.]+) s ran against a 0.5 s budget",
+        str(err.value),
+    )
+    assert m, str(err.value)
+    group, nodes, done, total, secs = m.groups()
+    types = abelian_group_types(16)
+    assert int(total) == len(types)
+    assert types[int(done)] == tuple(int(x) for x in group.split(", "))
+    assert int(nodes) > 0
+    assert 0.5 <= float(secs) < 1.5
+
+
 def test_search_n_centralizer(catalog):
     from ringcent.gallery import four_element_matrix_ring
 

@@ -300,6 +300,48 @@ def test_subgroup_count_over_the_ceiling_is_too_large(monkeypatch):
         additive_subgroups(R)
 
 
+def test_a_cached_lattice_still_meets_the_ceiling_of_each_call(monkeypatch):
+    R = direct_product(row_ring(2), row_ring(2))
+    assert len(additive_subgroups(R)) == 67
+    other = FiniteRing(R.add, R.mul, "same addition table")
+    monkeypatch.setattr(rings, "MAX_SUBGROUPS", 50)
+    with pytest.raises(TooLarge, match="more than 50 additive subgroups in "
+                                       "same addition table$"):
+        additive_subgroups(other)
+    monkeypatch.setattr(rings, "MAX_SUBGROUPS", 100_000)
+    assert len(additive_subgroups(other)) == 67
+
+
+def test_mutating_the_returned_subgroups_leaves_the_next_result(monkeypatch):
+    R = direct_product(row_ring(2), row_ring(2))
+    first = additive_subgroups(R)
+    expected = list(first)
+    first.clear()
+    assert additive_subgroups(R) == expected
+
+
+def test_l3_over_the_catalog_builds_one_lattice_per_group_type(catalog,
+                                                               monkeypatch):
+    from ringcent import suites
+    from ringcent.enumeration import catalog_rings
+
+    universe = [R for R in catalog_rings(8) if R.order >= 2]
+    assert len(universe) == 75
+    builds = []
+    multiples = rings._multiples  # called once per lattice built
+
+    def counted(add):
+        builds.append(add.shape[0])
+        return multiples(add)
+
+    rings._subgroup_lattice.cache_clear()
+    monkeypatch.setattr(rings, "_multiples", counted)
+    assert suites.run_suite("L3_two_subrings", universe, "catalog:8").passed
+    # the group types of orders 2..8: one each of order 2, 3, 5, 6 and 7,
+    # two of order 4 and three of order 8
+    assert builds == [2, 3, 4, 4, 5, 6, 7, 8, 8, 8]
+
+
 def _zero_ring(factors):
     """Z_{d1} x ... x Z_{dk} with every product 0."""
     add = groups.group_add_table(factors)
