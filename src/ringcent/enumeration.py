@@ -579,12 +579,17 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def _read_records(out_path: Path, n: int) -> list[dict]:
     """The partition records of the order-n manifest at out_path; none if
-    it is absent, unreadable or malformed."""
+    it is absent, unreadable or malformed.  A manifest of another order is a
+    RingError, raised before anything is written: resuming into it would
+    orphan that catalog's files."""
     try:
         doc = json.loads((out_path / "manifest.json").read_text())
-        records = doc["partitions"] if doc["order"] == n else []
+        order, records = doc["order"], doc["partitions"]
     except (OSError, ValueError, KeyError, TypeError):
         return []
+    if order != n:
+        raise RingError(f"cannot resume order {n} in {out_path}: its "
+                        f"manifest.json records a catalog of order {order}")
     ok = isinstance(records, list) and all(isinstance(e, dict) for e in records)
     return records if ok else []
 

@@ -253,27 +253,37 @@ def distrib_check(A, M):
 # (g_a g_b) g_c = sum_m x_m (g_m g_c) folds the elements x_m * (g_m g_c)
 # with the group sum, and likewise for g_a (g_b g_c) = sum_m y_m (g_a g_m)
 # with y = g_b g_c.  A term whose cell is not filled yet must have a zero
-# coefficient for the constraint to be checkable.  Each constraint is
-# evaluated only on the rows of the slab that passed the ones before it.
+# coefficient for the constraint to be checkable.
+#
+# Layout: the frontier is column-major, one int16 row per filled cell and
+# one column per partial assignment.  A slab of _BFS_CHUNK parents is cast
+# once to intp, the type the lookup tables hold and index with, and its
+# children are written into one preallocated (cells, children) intp array,
+# the forced children first, then the free parents broadcast against the
+# value grid.  A check masks the children it fails; the slab is compacted
+# only once more than half of it is dead, so a constraint may be evaluated
+# on children an earlier one failed, and its result there is ignored.  The
+# survivors are stored as int16 and transposed to rows once, at the end.
 
 
 def _lookup_tables(factors):
     """Element-index tables of the group, with x_m the m-th coefficient of
     element x: add[x*n+y] = x + y, scale[m][x*n+y] = x_m * y,
     zero[m][x] = (x_m == 0), times[u*n+y] = u * y for u below the exponent
-    of the group, and neg[y] = -y."""
+    of the group, and neg[y] = -y.  They hold intp, so their entries index
+    the tables again without a cast."""
     coeff = groups.coeff_vectors(factors)
     k = len(factors)
 
     def elements(vectors):
-        return groups.encode(factors, vectors).astype(np.int16).reshape(-1)
+        return groups.encode(factors, vectors).astype(np.intp).reshape(-1)
 
     add = elements(coeff[:, None, :] + coeff[None, :, :])
     scale = [elements(coeff[:, m, None, None] * coeff[None, :, :])
              for m in range(k)]
     zero = [coeff[:, m] == 0 for m in range(k)]
     times = elements(np.arange(lcm(*factors))[:, None, None] * coeff)
-    neg = elements(-coeff).astype(np.intp)
+    neg = elements(-coeff)
     return add, scale, zero, times, neg
 
 
@@ -343,14 +353,16 @@ class _Plan:
             self.forcing.append(forcing)
 
     def sides(self, cols, con):
-        """(lhs, rhs, ok) of constraint con on the rows whose filled columns
-        are cols: each side summed over its filled terms, and ok where every
-        unfilled term has a zero coefficient.  The new cell's term, in a
-        forcing step, is in neither."""
+        """(lhs, rhs, ok) of constraint con on the partial assignments whose
+        filled cells are the rows of cols, an intp array of shape (cells,
+        assignments): each side summed over its filled terms, one entry per
+        assignment, and ok where every unfilled term has a zero coefficient.
+        The new cell's term, in a forcing step, is in neither.  Each sum is
+        accumulated in place in the array of its first term."""
         n, add = self.n, self.add
-        x, y = cols[con.x], cols[con.y]
         sums, ok = [], True
-        for v, term_cols in ((x, con.lhs), (y, con.rhs)):
+        for v, term_cols in ((cols[con.x], con.lhs), (cols[con.y], con.rhs)):
+            vn = v * n
             total = None
             for m, col in enumerate(term_cols):
                 if col is None:
@@ -358,15 +370,21 @@ class _Plan:
                 if col < 0:
                     ok = ok & self.zero[m][v]
                     continue
-                term = self.scale[m][v * n + cols[col]]
-                total = term if total is None else add[total.astype(np.intp) * n + term]
+                term = self.scale[m][vn + cols[col]]
+                if total is None:
+                    total = term
+                else:
+                    total *= n
+                    total += term
+                    total = add[total]
             sums.append(total)  # the term m = b is always filled
         return sums[0], sums[1], ok
 
     def forced_values(self, cols, forcing, e, expired):
-        """Per row of cols, the one value a forcing constraint leaves the new
-        cell, or -1 where none forces it; None once `expired()` is true."""
-        coeff, inv = self.coeff, self.inverses[e]
+        """Per column of cols, laid out as in sides, the one value a forcing
+        constraint leaves the new cell, or -1 where none forces it; None once
+        `expired()` is true."""
+        coeff, inv, n = self.coeff, self.inverses[e], self.n
         w = cols.shape[1]
         out = np.full(w, -1, dtype=np.intp)
         pending = np.arange(w)
@@ -385,8 +403,8 @@ class _Plan:
             hit = ok & (u > 0)
             if not hit.any():
                 continue
-            r = self.add[rhs.astype(np.intp) * self.n + self.neg[lhs]]
-            out[pending[hit]] = self.times[u[hit] * self.n + r[hit]]
+            r = self.add[rhs * n + self.neg[lhs]]
+            out[pending[hit]] = self.times[u[hit] * n + r[hit]]
             keep = ~hit
             pending, cols = pending[keep], cols[:, keep]
         return out
@@ -405,10 +423,13 @@ def structure_search(factors, allowed, deadline=None):
     products per cell.
     Returns (assignments, status, nodes) with the rows in lexicographic
     order.  `deadline` is a `time.monotonic()` value checked before every
-    slab of _BFS_CHUNK partial assignments and before every constraint
-    evaluated on a slab, forcing or checking, so a run overshoots it by at
-    most one constraint evaluation; once it has passed the search stops with
-    status -1 and no rows.  `nodes` counts the partial assignments built.
+    slab of _BFS_CHUNK parent partial assignments and before every
+    constraint evaluated on a slab, forcing or checking, so a run overshoots
+    it by at most one constraint evaluation; once it has passed the search
+    stops with status -1 and no rows.  `nodes` counts the partial
+    assignments built.  A slab's children live in one column-major intp
+    array, compacted once more than half of them fail (see the comment
+    above _lookup_tables).
     """
 
     def expired():
@@ -425,52 +446,49 @@ def structure_search(factors, allowed, deadline=None):
     order = tuple(sorted(range(kk), key=lambda t: (
         counts[t] > 1, -max(divmod(t, k)), t)))
     plan = _plan(factors, order)
-    frontier = np.zeros((1, 0), dtype=np.int16)
+    frontier = np.zeros((0, 1), dtype=np.int16)  # (cells, rows): one empty row
     nodes = 0
     for p, t in enumerate(order):
-        vals = np.flatnonzero(allowed[t]).astype(np.int16)
+        vals = np.flatnonzero(allowed[t])
         forcing = plan.forcing[p] if vals.size > 1 else []
         e = int(np.lcm.reduce(plan.orders[vals])) if forcing else 0
         survivors = []
-        for lo in range(0, frontier.shape[0], _BFS_CHUNK):
+        for lo in range(0, frontier.shape[1], _BFS_CHUNK):
             if expired():
                 return stopped()
-            part = frontier[lo:lo + _BFS_CHUNK]
-            children = []
-            if forcing:  # a forced row gets its one value, if admissible
-                z = plan.forced_values(part.T.astype(np.intp), forcing, e, expired)
+            part = frontier[:, lo:lo + _BFS_CHUNK].astype(np.intp)
+            nf = 0
+            if forcing:  # a forced parent gets its one value, if admissible
+                z = plan.forced_values(part, forcing, e, expired)
                 if z is None:
                     return stopped()
-                hit = z >= 0
-                fixed = hit & allowed[t, np.maximum(z, 0)]
-                children.append(
-                    np.column_stack((part[fixed], z[fixed])).astype(np.int16))
-                part = part[~hit]
-            w, v = part.shape[0], vals.shape[0]
-            child = np.empty((w * v, p + 1), dtype=np.int16)
-            child[:, :p] = np.repeat(part, v, axis=0)
-            child[:, p] = np.tile(vals, w)
-            ext = np.concatenate(children + [child])
-            nodes += ext.shape[0]
-            cols = ext.T.astype(np.intp)  # cols[q] = column q of the live rows
-            live = np.arange(ext.shape[0])
+                fixed = np.flatnonzero((z >= 0) & allowed[t, z])  # z<0 masked
+                nf = fixed.size
+                head, part = part[:, fixed], part[:, z < 0]
+            # forced children first, then every free parent with every value
+            w = part.shape[1]
+            cols = np.empty((p + 1, nf + w * vals.size), dtype=np.intp)
+            if nf:
+                cols[:p, :nf] = head
+                cols[p, :nf] = z[fixed]
+            grid = cols[:, nf:].reshape(p + 1, w, vals.size)
+            grid[:p] = part[:, :, None]
+            grid[p] = vals
+            nodes += cols.shape[1]
+            dead = np.zeros(cols.shape[1], dtype=bool)
             for con in plan.checks[p]:
                 if expired():
                     return stopped()
                 lhs, rhs, ok = plan.sides(cols, con)
-                bad = ok & (lhs != rhs)
-                if bad.any():
-                    cols = cols[:, ~bad]
-                    live = live[~bad]
-            survivors.append(ext[live])
-        frontier = (
-            np.concatenate(survivors)
-            if survivors
-            else np.zeros((0, p + 1), dtype=np.int16)
-        )
-        if frontier.shape[0] == 0:
+                dead |= ok & (lhs != rhs)
+                if 2 * np.count_nonzero(dead) > dead.size:
+                    cols = cols[:, ~dead]
+                    dead = np.zeros(cols.shape[1], dtype=bool)
+            survivors.append(cols.compress(~dead, axis=1).astype(np.int16))
+        frontier = np.concatenate(survivors, axis=1)
+        if frontier.shape[1] == 0:
             return np.zeros((0, kk), dtype=np.int64), 0, nodes
-    rows = frontier[:, plan.pos].astype(np.int64)
+    cols = frontier[plan.pos]  # cells back in row-major order
     if kk:  # lexsort needs a key; the trivial group has its one empty row
-        rows = rows[np.lexsort(rows.T[::-1])]
-    return rows, 0, nodes
+        cols = cols[:, np.lexsort(cols[::-1])]
+    return np.ascontiguousarray(cols.T, dtype=np.int64), 0, nodes

@@ -349,3 +349,18 @@ def test_readme_cli_examples_parse(line):
             parser.parse_args(shlex.split(text)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {text}")
+
+
+def test_enumerate_resume_into_a_catalog_of_another_order_fails(tmp_path, capsys):
+    # resuming would rewrite the manifest and orphan the order-4 files
+    out_dir = tmp_path / "cat4"
+    run_cli(capsys, "enumerate", "--order", "4", "--out", str(out_dir))
+    manifest = (out_dir / "manifest.json").read_bytes()
+    files = sorted(out_dir.rglob("*"))
+    code = main(["enumerate", "--order", "5", "--out", str(out_dir), "--resume"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: RingError: cannot resume order 5 ")
+    assert "catalog of order 4" in err
+    assert (out_dir / "manifest.json").read_bytes() == manifest
+    assert sorted(out_dir.rglob("*")) == files

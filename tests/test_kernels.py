@@ -6,7 +6,9 @@ they do so without scanning triples."""
 
 import hashlib
 import itertools
+import sys
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -343,3 +345,71 @@ def test_structure_search_stops_at_past_deadline():
         (2, 2, 2), allowed, deadline=time.monotonic() - 1
     )
     assert (rows.shape, status, nodes) == ((0, 9), -1, 0)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 500])
+@pytest.mark.parametrize("factors, shape, nodes, digest", [
+    ((2, 2, 2), (1688, 9), 28866, "77da948d08eb79e3"),
+    ((2, 2, 4), (4864, 9), 95740, "4f5a00b13a292b97"),
+], ids=["2x2x2", "2x2x4"])
+def test_structure_search_rows_pinned_across_slabs(monkeypatch, chunk, factors,
+                                                   shape, nodes, digest):
+    # slabs of `chunk` parents split every level wider than that (the widest
+    # here holds thousands of rows); where the splits fall changes neither
+    # the rows, nor their order, nor the node count
+    monkeypatch.setattr(kernels, "_BFS_CHUNK", chunk)
+    rows, status, got = kernels.structure_search(factors, _search_inputs(factors))
+    blob = rows.astype(np.int64).tobytes()
+    assert (rows.shape, status, got) == (shape, 0, nodes)
+    assert hashlib.sha256(blob).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 500])
+def test_structure_search_matches_brute_force_across_slabs(monkeypatch, chunk):
+    # cells admitting only part of their torsion; the widest level holds
+    # 292 rows, so slabs of 1 and 7 parents split its wider levels
+    rng = np.random.default_rng(7)
+    torsion = _search_inputs((3, 9))
+    allowed = torsion & (rng.random(torsion.shape) < 0.9)
+    monkeypatch.setattr(kernels, "_BFS_CHUNK", chunk)
+    rows, status, _ = kernels.structure_search((3, 9), allowed)
+    assert status == 0
+    assert np.array_equal(rows, brute_force_structures((3, 9), allowed))
+
+
+def _deadline_polls(monkeypatch, factors, allowed):
+    """(function, line) of every deadline poll of a search that finishes."""
+    polls = []
+
+    def monotonic():
+        caller = sys._getframe(2)  # monotonic <- expired <- caller
+        polls.append((caller.f_code.co_name, caller.f_lineno))
+        return 0.0
+
+    monkeypatch.setattr(kernels.time, "monotonic", monotonic)
+    kernels.structure_search(factors, allowed, deadline=1.0)
+    return polls
+
+
+@pytest.mark.parametrize("where", ["checks", "forced_values"])
+def test_structure_search_stops_at_deadline_passing_mid_search(monkeypatch, where):
+    # the clock passes the deadline at the middle poll of one site: the
+    # check of a constraint on a slab (the line of structure_search that
+    # polls most), or a forcing constraint in forced_values
+    factors = (2, 2, 2)
+    allowed = _search_inputs(factors)
+    polls = _deadline_polls(monkeypatch, factors, allowed)
+    if where == "checks":
+        site = Counter(p for p in polls
+                       if p[0] == "structure_search").most_common(1)[0][0]
+    else:
+        site = next(p for p in polls if p[0] == where)
+    at_site = [i for i, p in enumerate(polls) if p == site]
+    stop = at_site[len(at_site) // 2]
+    calls = itertools.count()
+    monkeypatch.setattr(kernels.time, "monotonic",
+                        lambda: 1.0 if next(calls) >= stop else 0.0)
+    rows, status, nodes = kernels.structure_search(factors, allowed, deadline=1.0)
+    assert (rows.shape, status) == ((0, 9), -1)
+    assert 0 < nodes < 28866
+    assert next(calls) == stop + 1  # no poll after the one that passed
