@@ -521,7 +521,7 @@ def _journaled_search(n: int, out_path: Path, resume: bool, start: float,
     partition at a time and stacked in g1*g1 order, and the partition log.
     The partition is the journal unit: its rows go to a part file, and the
     manifest at out_path is rewritten after each one, searched or reused."""
-    recorded = _read_records(out_path, n) if resume else []
+    recorded = _read_records(out_path, n, resume)
     (out_path / "parts").mkdir(parents=True, exist_ok=True)
     (out_path / "rings").mkdir(parents=True, exist_ok=True)
     _flush_manifest(out_path, n, recorded, complete=False)
@@ -577,20 +577,24 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _read_records(out_path: Path, n: int) -> list[dict]:
-    """The partition records of the order-n manifest at out_path; none if
-    it is absent, unreadable or malformed.  A manifest of another order is a
-    RingError, raised before anything is written: resuming into it would
-    orphan that catalog's files."""
+def _read_records(out_path: Path, n: int, resume: bool) -> list[dict]:
+    """The partition records of the order-n manifest at out_path to resume
+    from; none without resume, or if the manifest is absent, unreadable or
+    malformed.  A manifest of another order is a RingError, raised before
+    anything is written: resuming into it, or writing over it, would orphan
+    that catalog's files."""
     try:
         doc = json.loads((out_path / "manifest.json").read_text())
-        order, records = doc["order"], doc["partitions"]
+        order = doc["order"]
     except (OSError, ValueError, KeyError, TypeError):
         return []
     if order != n:
-        raise RingError(f"cannot resume order {n} in {out_path}: its "
-                        f"manifest.json records a catalog of order {order}")
-    ok = isinstance(records, list) and all(isinstance(e, dict) for e in records)
+        raise RingError(f"cannot {'resume' if resume else 'write'} order {n} "
+                        f"in {out_path}: its manifest.json records a catalog "
+                        f"of order {order}")
+    records = doc.get("partitions")
+    ok = (resume and isinstance(records, list)
+          and all(isinstance(e, dict) for e in records))
     return records if ok else []
 
 

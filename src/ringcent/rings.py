@@ -11,10 +11,12 @@ FiniteRing always proves again; any other new FiniteRing, from the
 constructor, relabel or opposite, is unproved.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from json.scanner import py_make_scanner
 from typing import Iterable, Optional
 
 import numpy as np
@@ -138,7 +140,7 @@ class FiniteRing:
         return FiniteRing(self.add, self.mul.T, f"{self.label}^op")
 
     def spec(self) -> "RingSpec":
-        return RingSpec.explicit(self.add.tolist(), self.mul.tolist(), self.label)
+        return RingSpec.explicit(self.add, self.mul, self.label)
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.label!r}, order={self.order})"
@@ -190,7 +192,9 @@ class RingSpec:
 
     def to_json(self) -> dict:
         if self.is_explicit:
-            doc = {"order": self.order, "add": self.add, "mul": self.mul}
+            add, mul = (t.tolist() if isinstance(t, np.ndarray) else t
+                        for t in (self.add, self.mul))
+            doc = {"order": self.order, "add": add, "mul": mul}
         else:
             doc = {"group": self.group, "mul_constants": self.mul_constants}
         if self.label is not None:
@@ -199,9 +203,13 @@ class RingSpec:
 
     @staticmethod
     def load(path) -> "RingSpec":
+        """Read a spec file.  Below _DECODE_MIN characters, or with text
+        other than ASCII, plain json decodes it; otherwise _TableDecoder."""
         try:
             with open(path) as fh:
-                doc = json.load(fh)
+                text = fh.read()
+            fast = len(text) >= _DECODE_MIN and text.isascii()
+            doc = json.loads(text, cls=_TableDecoder if fast else None)
         except OSError as exc:
             raise RingError(f"cannot read {path}: {exc.strerror}") from None
         except ValueError as exc:
@@ -213,6 +221,83 @@ class RingSpec:
         runs its C encoder, several times faster on a 256-element table."""
         with open(path, "w") as fh:
             fh.write(json.dumps(self.to_json(), sort_keys=True) + "\n")
+
+
+# Spec files in the layout RingSpec.save writes decode their tables straight
+# into int64 arrays, a block of rows at a time, with byte masks in the way of
+# Langdale & Lemire, "Parsing gigabytes of JSON per second" (VLDB J. 2019).
+# Below _DECODE_MIN characters (order ~32) json's C decoder is faster.
+_DECODE_MIN = 8192
+_TABLE_BLOCK = 1 << 16  # characters of rows per block
+_UNBRACKET = bytes.maketrans(b"[]", b"  ")
+
+
+def _table_block(raw: bytes, width: int) -> Optional[np.ndarray]:
+    """The rows in `raw`, such as b"[0, 1], [1, 0]", as an int64 array of
+    `width` columns, or None unless `raw` is in the save layout: rows of
+    `width` numbers, ", " between numbers, "], [" between rows, and numbers
+    of at most 18 digits with no leading zero."""
+    b = np.frombuffer(b"], " + raw + b", [", dtype=np.uint8)  # pad as rows
+    digit = (b - 48) < 10
+    comma, space, opening, closing = b == 44, b == 32, b == 91, b == 93
+    # commas from each "[" to the next: one per number of that row (a block
+    # has under 2**16 of them)
+    widths = np.add.reduceat(comma, np.flatnonzero(opening), dtype=np.uint16)
+    if not ((digit | comma | space | opening | closing).all()
+            and np.array_equal(comma[:-1], space[1:])  # ", " and only that
+            and np.array_equal(closing[:-3], opening[3:])  # "]" ... "["
+            and (closing[:-1] <= comma[1:]).all()  # so "], [" between rows
+            and ((space | opening)[:-1] <= (digit | opening)[1:]).all()
+            and not ((b[1:-1] == 48) & digit[2:] & ~digit[:-2]).any()
+            and (widths[:-1] == width).all()):
+        return None
+    # the C strtoll under np.fromstring clamps past 2**63, so a value below
+    # 10**18 had at most 18 digits and is exact
+    values = np.fromstring(raw.translate(_UNBRACKET), dtype=np.int64, sep=",")
+    return values.reshape(-1, width) if values.max() < 10 ** 18 else None
+
+
+def _scan_table(s: str, idx: int):
+    """(int64 array, index past its "]") of the table whose first row starts
+    at s[idx], if the table is in the save layout; None if not."""
+    stop = s.find("]]", idx)  # where the first row-of-rows ends
+    if stop < 0 or not s.startswith("[", idx):
+        return None
+    width = s.count(",", idx, s.find("]", idx)) + 1  # of the first row
+    rows = s.count("], [", idx, stop) + 1
+    if 3 * rows * width > stop + 1 - idx:  # each number takes 3 characters or more
+        return None
+    table = np.empty((rows, width), dtype=np.int64)
+    row = 0
+    while idx < stop:
+        cut = 1 + (stop if stop - idx < _TABLE_BLOCK
+                   else s.rfind("], [", idx, idx + _TABLE_BLOCK))
+        block = _table_block(s[idx:cut].encode(), width) if cut > idx else None
+        if block is None:
+            return None
+        table[row:row + len(block)] = block
+        row += len(block)
+        idx = cut + 2
+    return table, stop + 2
+
+
+class _TableDecoder(json.JSONDecoder):
+    """Decodes the value of an "add" or "mul" key with _scan_table.  Any
+    other array goes whole to json's C scanner, so it decodes, or fails with
+    the same message, exactly as under json.loads."""
+
+    def __init__(self):
+        super().__init__()
+        scan_whole = self.scan_once  # the C scanner
+
+        def parse_array(s_and_end, scan_once):
+            s, end = s_and_end
+            table = (_scan_table(s, end)
+                     if s.endswith(('"add": ', '"mul": '), 0, end - 1) else None)
+            return table or scan_whole(s, end - 1)
+
+        self.parse_array = parse_array
+        self.scan_once = py_make_scanner(self)  # calls parse_array
 
 
 def structure_tables(factors: tuple[int, ...],
@@ -234,14 +319,23 @@ def structure_tables(factors: tuple[int, ...],
 
 
 def _int_array(value, what: str) -> np.ndarray:
-    """value as an int64 array, if it is a rectangular array of integers.
-    The dtype numpy infers tells, where an int64 conversion would truncate a
-    float such as 1.7."""
+    """value as an int64 array, if it is a rectangular array of integers
+    below 2**63.  The dtype numpy infers tells, where an int64 conversion
+    would truncate a float such as 1.7 or wrap 2**64 - 1 round to -1.  numpy
+    reads a JSON true among integers as 1, so nested lists are searched for
+    booleans."""
     try:
         array = np.asarray(value)
     except ValueError:  # ragged
         array = None
-    if array is None or (array.size and array.dtype.kind not in "iu"):
+    if array is not None and array.ndim and not isinstance(value, np.ndarray):
+        flat = value
+        for _ in range(array.ndim - 1):
+            flat = itertools.chain.from_iterable(flat)
+        if bool in map(type, flat):
+            array = None
+    if array is None or (array.size and (array.dtype.kind not in "iu" or
+                                         array.max() > np.iinfo(np.int64).max)):
         raise ValidationError(f"{what} is not a rectangular array of integers")
     return array.astype(np.int64, copy=False)
 

@@ -364,3 +364,18 @@ def test_enumerate_resume_into_a_catalog_of_another_order_fails(tmp_path, capsys
     assert "catalog of order 4" in err
     assert (out_dir / "manifest.json").read_bytes() == manifest
     assert sorted(out_dir.rglob("*")) == files
+
+
+def test_enumerate_over_a_catalog_of_another_order_fails(tmp_path, capsys):
+    # without --resume the run would write over the manifest just the same
+    out_dir = tmp_path / "cat4"
+    run_cli(capsys, "enumerate", "--order", "4", "--out", str(out_dir))
+    manifest = (out_dir / "manifest.json").read_bytes()
+    files = sorted(out_dir.rglob("*"))
+    code = main(["enumerate", "--order", "5", "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: RingError: cannot write order 5 ")
+    assert "catalog of order 4" in err
+    assert (out_dir / "manifest.json").read_bytes() == manifest
+    assert sorted(out_dir.rglob("*")) == files

@@ -116,6 +116,25 @@ def test_validation_rejects_mismatched_declared_order():
         validate({"order": 3, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 0]]})
 
 
+@pytest.mark.parametrize("doc,what", [
+    ({"add": [[18446744073709551615]], "mul": [[0]]}, "add"),  # not -1
+    ({"add": [[0]], "mul": [[2 ** 63]]}, "mul"),
+    ({"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, True]]}, "mul"),
+    ({"add": [[0, True], [1, 0]], "mul": [[0, 0], [0, 0]]}, "add"),
+    ({"group": [2, True], "mul_constants": [[[0]]]}, "group"),
+    ({"group": [2, 2], "mul_constants": [[[1, 0], [0, True]],
+                                         [[0, 0], [0, 0]]]}, "mul_constants"),
+    ({"group": [2], "mul_constants": [[[2 ** 64 - 1]]]}, "mul_constants"),
+], ids=["2**64-1", "2**63", "true in mul", "true in add", "true in group",
+        "true in mul_constants", "2**64-1 in mul_constants"])
+def test_validation_rejects_booleans_and_integers_past_int64(doc, what):
+    from ringcent import ValidationError
+
+    with pytest.raises(ValidationError) as exc:
+        validate(doc)
+    assert str(exc.value) == f"{what} is not a rectangular array of integers"
+
+
 def test_validation_order_cap():
     with pytest.raises(TooLarge):
         n = 257
