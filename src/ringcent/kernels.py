@@ -11,6 +11,7 @@ emits its rows in lexicographic order and can stop at a wall-clock deadline.
 import itertools
 import time
 import weakref
+from contextlib import contextmanager
 from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple, Optional
@@ -30,7 +31,9 @@ NONDISTRIBUTIVE_RIGHT = 7
 
 _PASS = (OK, -1, -1, -1)
 _CHUNK_ROWS = 32          # slab height for vectorized triple checks
+_SLAB_CELLS = 1 << 16     # table entries per generator slab; cache-sized
 _BFS_CHUNK = 1 << 14      # partial assignments per slab in the search
+_keys = None              # id(T) -> _Table(T) inside shared_keys()
 
 
 def _scan(code, n, sides):
@@ -57,14 +60,17 @@ def _scan(code, n, sides):
 # - A is associative iff (x+a)+y = x+(a+y) for all a in G and all x, y
 #   (Light's test; Clifford & Preston, The Algebraic Theory of Semigroups I,
 #   1961, section 1.2).
-# - Once A is associative, M distributes over A on the left iff
-#   x(y+g) = xy + xg for all g in G and all x, y, and on the right likewise.
+# - Once A is associative, M distributes over A on the right iff
+#   (y+g)x = yx + gx for all g in G and all x, y.  If so and A is
+#   commutative, the x whose x -> xy is additive are closed under A, so M
+#   distributes on the left iff h(y+g) = hy + hg for all h, g in G and all
+#   y; without both premises, it is checked for every h.
 # - Once both distributive laws hold, (xy)z = x(yz) is closed under A in each
 #   of x, y and z, so M is associative iff it is on G x G x G.
 #
-# None of this needs an identity, commutativity or inverses in A, and every
-# premise is checked on the tables given, so each kernel is exact for any
-# input.
+# None of this needs an identity or inverses in A, and every premise, the
+# commutativity of A too, is checked on the tables given, so each kernel is
+# exact for any input.
 
 
 def _generators(A):
@@ -91,16 +97,11 @@ def _generators(A):
     return np.array(gens, dtype=np.int64)
 
 
-# The proofs are cached by table content.  When validate runs the three law
-# kernels on one pair of tables, the generators are found and each law is
-# proved on them once; each kernel stays exact for any input given alone.
-
-
 class _Table:
-    """Table T as a cache key: hashed by its bytes and compared entry by
-    entry, holding only a weak reference to T, so a cache keeps no table
-    alive.  A table changed in place after a check hashes anew, so it is
-    proved again."""
+    """Table T as the key of the proofs' caches: hashed by its bytes and
+    compared entry by entry, holding only a weak reference to T, so a cache
+    keeps no table alive.  A table changed in place after a check hashes
+    anew, so it is proved again; each kernel stays exact for any input."""
 
     __slots__ = ("ref", "_hash")
 
@@ -113,35 +114,56 @@ class _Table:
 
     def __eq__(self, other):
         a, b = self.ref(), other.ref()
-        return (a is not None and b is not None and a.shape == b.shape
-                and bool((a == b).all()))
+        return a is not None and (a is b or b is not None and a.shape == b.shape
+                                  and bool((a == b).all()))
+
+
+@contextmanager
+def shared_keys():
+    """Key each table once for the law checks run inside on tables that
+    stay alive and unchanged, as validate runs all three on one pair."""
+    global _keys
+    _keys = {}
+    try:
+        yield
+    finally:
+        _keys = None
+
+
+def _key(T):
+    if _keys is None:
+        return _Table(T)
+    return _keys.get(id(T)) or _keys.setdefault(id(T), _Table(T))
 
 
 @lru_cache(maxsize=1)
 def _associative_generators(a):
-    """Generators of table a if it passes Light's associativity test on
-    them, else None."""
+    """Generators of table a in slabs of _SLAB_CELLS entries per table (one
+    slab of all is twice as slow at n = 256), or None if Light's test fails."""
     A = a.ref()
     gens = _generators(A)
-    if not np.array_equal(A[A[:, gens], :], A[:, A[gens, :]]):
-        return None
     gens.setflags(write=False)  # shared by every caller of the cache
-    return gens
+    step = max(1, _SLAB_CELLS // A.size)
+    slabs = [gens[i:i + step] for i in range(0, len(gens), step)]
+    if all(np.array_equal(A[A[:, gs], :], A[:, A[gs, :]]) for gs in slabs):
+        return slabs
 
 
 @lru_cache(maxsize=1)
 def _distributes(a, m):
     """(left, right): whether table m distributes over table a on each side,
     proved on the generators of a; both False when a fails Light's test."""
-    gens = _associative_generators(a)
-    if gens is None:
+    slabs = _associative_generators(a)
+    if slabs is None:
         return False, False
     A, M = a.ref(), m.ref()
-    # x(y+g) = xy + xg and (y+g)x = yx + gx for every generator g, all x, y
-    left = np.array_equal(
-        M[:, A[:, gens]], A[M[:, :, None], M[:, gens][:, None, :]])
-    right = np.array_equal(
-        M[A[:, gens], :], A[M[:, None, :], M[gens][None, :, :]])
+    # (y+g)x = yx + gx for every generator g, all x, y
+    right = all(np.array_equal(M[A[:, gs], :], A[M[:, None, :], M[gs][None]])
+                for gs in slabs)
+    # x(y+g) = xy + xg for x in gens when right and A commutative, else all x
+    X = M[np.concatenate(slabs)] if right and np.array_equal(A, A.T) else M
+    left = all(np.array_equal(X[:, A[:, gs]], A[X[:, :, None], X[:, gs][:, None]])
+               for gs in slabs)
     return left, right
 
 
@@ -161,10 +183,9 @@ def add_table_check(A):
         return BAD_IDENTITY, int(bad[0]), 0, -1
     sym = np.argwhere(A != A.T)
     if sym.size:
-        up = sym[sym[:, 0] < sym[:, 1]]
-        i, j = up[np.lexsort((up[:, 1], up[:, 0]))][0]
+        i, j = sym[sym[:, 0] < sym[:, 1]][0]  # argwhere is in scan order
         return NONCOMMUTATIVE_ADD, int(i), int(j), -1
-    if _associative_generators(_Table(A)) is None:
+    if _associative_generators(_key(A)) is None:
         bad = _scan(NONASSOCIATIVE_ADD, n,
                     lambda rows: (A[A[rows, :], :], A[rows][:, A]))
         if bad:
@@ -182,9 +203,9 @@ def add_table_check(A):
 def mul_assoc_check(A, M):
     """First associativity failure in M, or (OK, -1, -1, -1).  The addition
     table A only serves the proof on generators."""
-    a = _Table(A)
-    if all(_distributes(a, _Table(M))):
-        gens = _associative_generators(a)
+    a = _key(A)
+    if all(_distributes(a, _key(M))):
+        gens = np.concatenate(_associative_generators(a))
         prods = M[np.ix_(gens, gens)]
         if np.array_equal(M[prods][:, :, gens], M[gens][:, prods]):
             return _PASS
@@ -199,7 +220,7 @@ def mul_assoc_check(A, M):
 def distrib_check(A, M):
     """First distributivity failure of M over A, or (OK, -1, -1, -1)."""
     n = A.shape[0]
-    left, right = _distributes(_Table(A), _Table(M))
+    left, right = _distributes(_key(A), _key(M))
     if not left:
         bad = _scan(NONDISTRIBUTIVE_LEFT, n, lambda rows: (
             M[rows][:, A],

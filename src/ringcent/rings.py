@@ -388,6 +388,9 @@ def validate(spec) -> FiniteRing:
     elif spec.is_explicit:
         add = _int_array(spec.add, "add")
         mul = _int_array(spec.mul, "mul")
+        if spec.order is not None and type(spec.order) is not int:
+            raise ValidationError(f"declared order {spec.order!r} is a "
+                                  f"{type(spec.order).__name__}, not an integer")
         if spec.order is not None and spec.order != add.shape[0]:
             raise ValidationError(
                 f"declared order {spec.order} != table size {add.shape[0]}"
@@ -407,14 +410,15 @@ def validate(spec) -> FiniteRing:
                 f"outside 0..{n - 1}"
             )
 
-    for check, tables in ((kernels.add_table_check, (add,)),
-                          (kernels.mul_assoc_check, (add, mul)),
-                          (kernels.distrib_check, (add, mul))):
-        code, i, j, k = check(*tables)
-        if code != kernels.OK:
-            error, message = _LAW_FAILURES[code]
-            at = f" at triple ({i}, {j}, {k})" if k >= 0 else ""
-            raise error(message.format(i=i, j=j, top=max(i, j)) + at)
+    with kernels.shared_keys():
+        for check, tables in ((kernels.add_table_check, (add,)),
+                              (kernels.mul_assoc_check, (add, mul)),
+                              (kernels.distrib_check, (add, mul))):
+            code, i, j, k = check(*tables)
+            if code != kernels.OK:
+                error, message = _LAW_FAILURES[code]
+                at = f" at triple ({i}, {j}, {k})" if k >= 0 else ""
+                raise error(message.format(i=i, j=j, top=max(i, j)) + at)
 
     ring = FiniteRing(add, mul, spec.label)
     ring.proved = True

@@ -22,6 +22,7 @@ from ringcent.gallery import (
     default_gallery,
     four_element_matrix_ring,
     modular_ring,
+    quaternion_ring,
     row_ring,
     upper_triangular_ring,
 )
@@ -270,6 +271,131 @@ def test_distrib_first_failure_triple_matches():
     got = kernels.distrib_check(ring.add, M)
     assert got[0] in (kernels.NONDISTRIBUTIVE_LEFT, kernels.NONDISTRIBUTIVE_RIGHT)
     assert got == naive_distrib(ring.add.tolist(), M.tolist())
+
+
+# ---------------------------------------------------------------------------
+# the left law proved on generator rows, and the proofs' cache keys
+
+
+def _s3_case():
+    """S_3 with the identity at 0 and x*y = c x c^-1 for odd y, else 0,
+    for the transposition c: every map x -> x*y is an endomorphism, so the
+    right law holds, and the left law holds on the generator rows but fails
+    elsewhere, which only the commutativity premise rules out."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+
+    def compose(p, q):
+        return tuple(p[q[i]] for i in range(3))
+
+    c = perms[2]
+    odd = [sum(p[a] > p[b] for a, b in itertools.combinations(range(3), 2)) % 2
+           for p in perms]
+    A = np.array([[index[compose(p, q)] for q in perms] for p in perms])
+    M = np.array([[index[compose(c, compose(x, c))] if odd[y] else 0
+                   for y in range(6)] for x in perms])
+    return A, M
+
+
+_Z5 = modular_ring(5).add
+_x, _y = np.indices((5, 5))
+ONE_SIDED = {
+    "x y^2 on Z_5": (_Z5, _x * _y * _y % 5),   # right law only
+    "x^2 y on Z_5": (_Z5, _x * _x * _y % 5),   # left law only
+    "x on Z_5": (_Z5, _x),                     # associative, right law only
+    "y on Z_5": (_Z5, _y),                     # associative, left law only
+    "S_3": _s3_case(),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_SIDED))
+def test_one_sided_proof_matches_naive_loops(name):
+    A, M = ONE_SIDED[name]
+    want = [naive_add_check(A.tolist()), naive_mul_assoc(M.tolist()),
+            naive_distrib(A.tolist(), M.tolist())]
+    assert [kernels.add_table_check(A), kernels.mul_assoc_check(A, M),
+            kernels.distrib_check(A, M)] == want
+    code, i, j, k = next(w for w in want if w[0] != kernels.OK)
+    error, message = rings._LAW_FAILURES[code]
+    at = f" at triple ({i}, {j}, {k})" if k >= 0 else ""
+    with pytest.raises(error) as exc:
+        rings.validate(rings.FiniteRing(A, M))
+    assert str(exc.value) == message.format(i=i, j=j, top=max(i, j)) + at
+
+
+def test_one_sided_cases_reach_each_branch():
+    left, right = kernels.NONDISTRIBUTIVE_LEFT, kernels.NONDISTRIBUTIVE_RIGHT
+    kinds = {name: kernels.distrib_check(*ONE_SIDED[name])[0]
+             for name in ONE_SIDED}
+    assert kinds == {"x y^2 on Z_5": left, "x^2 y on Z_5": right,
+                     "x on Z_5": left, "y on Z_5": right, "S_3": left}
+    A, M = ONE_SIDED["S_3"]
+    gens = kernels._generators(A)
+    X = M[gens]  # the left law on the generator rows alone holds
+    assert np.array_equal(X[:, A], A[X[:, :, None], X[:, None, :]])
+    assert not np.array_equal(A, A.T)
+
+
+@pytest.mark.parametrize("cells", [1, 128])
+def test_every_generator_slab_is_proved(monkeypatch, cells):
+    # Z_2^3 has generators 1, 2, 4: one per slab, or slabs [1, 2] and [4].
+    monkeypatch.setattr(kernels, "_SLAB_CELLS", cells)
+    A0, M0 = group_add_table((2, 2, 2)), np.zeros((8, 8), dtype=np.int64)
+    for i, j, v in itertools.product(range(8), range(8), (1, 6)):
+        A, M = A0.copy(), M0.copy()
+        M[i, j] = v
+        assert kernels.mul_assoc_check(A, M) == naive_mul_assoc(M.tolist())
+        assert kernels.distrib_check(A, M) == naive_distrib(A.tolist(), M.tolist())
+        A[i, j] = A[j, i] = v
+        assert kernels.add_table_check(A) == naive_add_check(A.tolist())
+
+
+def test_a_table_changed_in_place_is_proved_again():
+    ring = modular_ring(5)
+    A, M = ring.add.copy(), ring.mul.copy()
+    assert kernels.mul_assoc_check(A, M) == (kernels.OK, -1, -1, -1)
+    assert kernels.distrib_check(A, M) == (kernels.OK, -1, -1, -1)
+    M[2, 3] = 1
+    assert kernels.mul_assoc_check(A, M) == naive_mul_assoc(M.tolist())
+    assert kernels.distrib_check(A, M) == naive_distrib(A.tolist(), M.tolist())
+    assert kernels.add_table_check(A) == (kernels.OK, -1, -1, -1)
+    A[1, 1] = 3
+    assert kernels.add_table_check(A) == (kernels.NONASSOCIATIVE_ADD, 1, 1, 2)
+    assert kernels.distrib_check(A, M) == naive_distrib(A.tolist(), M.tolist())
+
+
+class _Counted(np.ndarray):
+    """An array that counts its entry-by-entry comparisons."""
+    compares = 0
+
+    def __eq__(self, other):
+        type(self).compares += 1
+        return super().__eq__(other)
+
+
+def test_keys_of_one_live_table_are_equal_without_comparing_it(monkeypatch):
+    monkeypatch.setattr(_Counted, "compares", 0)
+    T = modular_ring(5).add.view(_Counted)
+    assert kernels._Table(T) == kernels._Table(T)
+    assert _Counted.compares == 0
+    assert kernels._Table(T) == kernels._Table(T.copy())
+    assert _Counted.compares == 1
+
+
+def test_one_validate_keys_each_table_once(monkeypatch):
+    R = quaternion_ring(3)
+    keyed = []
+    init = kernels._Table.__init__
+
+    def counted(self, T):
+        keyed.append(T)
+        init(self, T)
+
+    monkeypatch.setattr(kernels._Table, "__init__", counted)
+    rings.validate(R)
+    assert len(keyed) == 2 and keyed[0] is R.add and keyed[1] is R.mul
+    kernels.distrib_check(R.add, R.mul)  # alone, a kernel keys its tables
+    assert len(keyed) == 4
 
 
 # ---------------------------------------------------------------------------

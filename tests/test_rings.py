@@ -135,6 +135,23 @@ def test_validation_rejects_booleans_and_integers_past_int64(doc, what):
     assert str(exc.value) == f"{what} is not a rectangular array of integers"
 
 
+@pytest.mark.parametrize("order, n, message", [
+    ("2", 2, "declared order '2' is a str, not an integer"),
+    (2.0, 2, "declared order 2.0 is a float, not an integer"),
+    (True, 1, "declared order True is a bool, not an integer"),
+    (3, 2, "declared order 3 != table size 2"),
+], ids=["string", "float", "true", "mismatch"])
+def test_declared_order_must_be_the_integer_table_size(order, n, message):
+    from ringcent import ValidationError
+
+    tables = {"add": (np.add.outer(range(n), range(n)) % n).tolist(),
+              "mul": [[0] * n for _ in range(n)]}
+    validate({"order": n, **tables})
+    with pytest.raises(ValidationError) as exc:
+        validate({"order": order, **tables})
+    assert str(exc.value) == message
+
+
 def test_validation_order_cap():
     with pytest.raises(TooLarge):
         n = 257
