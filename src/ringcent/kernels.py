@@ -13,7 +13,7 @@ import time
 import weakref
 from contextlib import contextmanager
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -245,27 +245,28 @@ def distrib_check(A, M):
 # associativity constraints (g_a g_b) g_c = g_a (g_b g_c) as their inputs
 # arrive.  A constraint's inputs are cells (a,b), (b,c), plus (m,c) for m in
 # the support of g_a*g_b and (a,m) for m in the support of g_b*g_c.  So every
-# input lies in row a or column c, and a constraint is attempted at every
-# level whose cell is (a,b), (b,c) or in row a or column c, once (a,b) and
-# (b,c) are filled; the support-dependent inputs make availability differ
-# from row to row, and a row is pruned only where every input is filled.  At
-# the level of its last input a constraint is complete, so the rows left at
-# the end are exactly the associative assignments, whatever the order.
+# input lies in row a or column c.  A constraint is checked on the children
+# at the level of the later of (a,b) and (b,c), and forward checks every
+# later level whose cell is in row a or column c (see below); the
+# support-dependent inputs make availability differ from row to row, and a
+# row is pruned only where every input is filled.  At the level of its last
+# input a constraint is complete, so the rows left at the end are exactly
+# the associative assignments, whatever the order.
 #
 # Cells are filled constraint first (fail first; Haralick & Elliott, 1980):
 # the cells with one admissible value, then the row and column of the last
 # generator, then those of the one before it, and so on, row-major within
 # each group.  One lexsort restores row-major lexicographic order at the end.
 #
-# Forced cells (forward checking, same source): before a level is expanded,
-# a constraint in which the new cell z = g_i g_j appears only as a term, with
-# every other input known, reads s z = r, where s = [c==j] x_i - [a==i] y_j
-# for x = g_a g_b and y = g_b g_c, and r is the known right side minus the
-# known left side.  Every admissible value of the cell lies in the e-torsion,
-# e the exponent of the admissible values, and when s is a unit mod e no
-# value there but s^-1 r solves it: the row gets that one child if it is
-# admissible, else none.  Every child, forced or not, still passes every
-# check of its level.
+# Forward checking into a value mask (same source): a constraint in which
+# the new cell z = g_i g_j appears only as a term reads s z = r, where
+# s = [c==j] x_i - [a==i] y_j for x = g_a g_b and y = g_b g_c, and r is the
+# right side minus the left side over the other filled terms.  The cell's
+# admissible values lie in the e-torsion, e the lcm of their orders, so one
+# table per level, sol[s mod e, r], holds the values that solve it for any
+# s, unit or not.  A parent keeps the values in sol[s, r] of every such
+# constraint it can evaluate, so its children satisfy them all exactly, and
+# only the constraints whose x or y is the new cell remain as checks.
 #
 # Both sides are computed on element indices through lookup tables built once
 # per group and fill order (_plan), in the standard encoding of
@@ -278,13 +279,14 @@ def distrib_check(A, M):
 #
 # Layout: the frontier is column-major, one int16 row per filled cell and
 # one column per partial assignment.  A slab of _BFS_CHUNK parents is cast
-# once to intp, the type the lookup tables hold and index with, and its
-# children are written into one preallocated (cells, children) intp array,
-# the forced children first, then the free parents broadcast against the
-# value grid.  A check masks the children it fails; the slab is compacted
-# only once more than half of it is dead, so a constraint may be evaluated
-# on children an earlier one failed, and its result there is ignored.  The
-# survivors are stored as int16 and transposed to rows once, at the end.
+# once to intp, the type the lookup tables hold and index with.  A parent's
+# value mask is a row of uint64 words, one bit per admissible value; its
+# children, or without forcing constraints the whole parents x values grid,
+# go into one preallocated (cells, children) intp array.  A check masks the
+# children it fails; the slab is compacted only once more than half of it
+# is dead, so a constraint may be evaluated on children an earlier one
+# failed, and its result there is ignored.  The survivors are stored as
+# int16 and transposed to rows once, at the end.
 
 
 def _lookup_tables(factors):
@@ -312,8 +314,8 @@ class _Constraint(NamedTuple):
     """One constraint (a,b,c) at one level, on the filled columns: x, y are
     the columns of g_a g_b and g_b g_c; lhs[m], rhs[m] the column of the term
     cells (m,c) and (a,m), -1 when not filled, None for the new cell's term
-    in a forcing step; zi, zj the coordinates of x and y that multiply the new
-    cell (None where it is not a term on that side)."""
+    in a forcing constraint; zi, zj the coordinates of x and y that multiply
+    the new cell (None where it is not a term on that side)."""
 
     x: int
     y: int
@@ -327,7 +329,8 @@ class _Plan:
     """What the search derives from the group and the fill order, built once
     and shared by every search with that order (the g1*g1 partitions of one
     group type): element-index lookup tables, the column of each cell, and
-    per level the constraints to check and to force with."""
+    per level the constraints to check on its children (x or y is its cell)
+    and to forward check its parents with (its cell is a term)."""
 
     def __init__(self, factors, order):
         coeff = groups.coeff_vectors(factors)
@@ -338,12 +341,6 @@ class _Plan:
             factors)
         # initial=1 for the trivial group: it has no factors, lcm no identity
         self.orders = np.lcm.reduce(d // np.gcd(d, coeff), axis=1, initial=1)
-        exponent = lcm(*factors)
-        # inverses[e][s] = s^-1 mod e for a unit s, else 0
-        self.inverses = {
-            e: np.array([pow(s, -1, e) if gcd(s, e) == 1 else 0
-                         for s in range(e)])
-            for e in range(2, exponent + 1) if exponent % e == 0}
 
         pos = {cell: col for col, cell in enumerate(order)}
         self.pos = np.array([pos[t] for t in range(k * k)], dtype=np.intp)
@@ -353,25 +350,22 @@ class _Plan:
                          else pos[cell] if pos[cell] <= level else -1
                          for cell in cells)
 
-        self.checks, self.forcing = [], []
-        for p, t in enumerate(order):
-            i, j = divmod(t, k)
-            checks, forcing = [], []
-            for a, b, c in itertools.product(range(k), repeat=3):
-                ab, bc = pos[a * k + b], pos[b * k + c]
-                lhs_cells = [m * k + c for m in range(k)]
-                rhs_cells = [a * k + m for m in range(k)]
-                if ab <= p and bc <= p and (a == i or c == j or t in (
-                        a * k + b, b * k + c)):
-                    checks.append(_Constraint(ab, bc, terms(lhs_cells, p, None),
-                                              terms(rhs_cells, p, None)))
-                if ab < p and bc < p and (a == i or c == j):
-                    forcing.append(_Constraint(
+        self.checks = [[] for _ in order]
+        self.forcing = [[] for _ in order]
+        for a, b, c in itertools.product(range(k), repeat=3):
+            ab, bc = pos[a * k + b], pos[b * k + c]
+            lhs_cells = [m * k + c for m in range(k)]
+            rhs_cells = [a * k + m for m in range(k)]
+            q = max(ab, bc)
+            self.checks[q].append(_Constraint(
+                ab, bc, terms(lhs_cells, q, None), terms(rhs_cells, q, None)))
+            for p, t in enumerate(order[q + 1:], q + 1):
+                i, j = divmod(t, k)
+                if a == i or c == j:
+                    self.forcing[p].append(_Constraint(
                         ab, bc, terms(lhs_cells, p - 1, t),
                         terms(rhs_cells, p - 1, t),
                         i if c == j else None, j if a == i else None))
-            self.checks.append(checks)
-            self.forcing.append(forcing)
 
     def sides(self, cols, con):
         """(lhs, rhs, ok) of constraint con on the partial assignments whose
@@ -401,17 +395,28 @@ class _Plan:
             sums.append(total)  # the term m = b is always filled
         return sums[0], sums[1], ok
 
-    def forced_values(self, cols, forcing, e, expired):
-        """Per column of cols, laid out as in sides, the one value a forcing
-        constraint leaves the new cell, or -1 where none forces it; None once
-        `expired()` is true."""
-        coeff, inv, n = self.coeff, self.inverses[e], self.n
-        w = cols.shape[1]
-        out = np.full(w, -1, dtype=np.intp)
-        pending = np.arange(w)
+    def solutions(self, vals):
+        """(e, sol) for a cell's admissible values vals, e the lcm of their
+        orders: bit v of row s*n + r of sol is (s vals[v] == r) for s below
+        e, then a row of ones for the assignments a constraint cannot check
+        yet.  Each row is packed into uint64 words, little-endian bits."""
+        n = self.n
+        e = int(np.lcm.reduce(self.orders[vals], initial=1))
+        prods = self.times[np.arange(e)[:, None] * n + vals]
+        rows = np.ones((e * n + 1, vals.size), dtype=bool)
+        rows[:-1] = (prods[:, None] == np.arange(n)[:, None]).reshape(
+            e * n, vals.size)
+        bits = np.packbits(rows, axis=1, bitorder="little")
+        words = np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8)))  # 8-byte rows
+        return e, words.view(np.uint64)
+
+    def value_mask(self, cols, forcing, e, sol, size, expired):
+        """(assignments, size) 0/1 mask of the values every forcing constraint
+        leaves the new cell, per column of cols laid out as in sides, with
+        (e, sol) from solutions(); None once `expired()` is true."""
+        coeff, add, neg, n = self.coeff, self.add, self.neg, self.n
+        mask = np.repeat(sol[-1:], cols.shape[1], axis=0)
         for con in forcing:
-            if not pending.size:
-                break
             if expired():
                 return None
             s = 0
@@ -420,15 +425,10 @@ class _Plan:
             if con.zj is not None:
                 s = s - coeff[cols[con.y], con.zj]
             lhs, rhs, ok = self.sides(cols, con)
-            u = inv[s % e]
-            hit = ok & (u > 0)
-            if not hit.any():
-                continue
-            r = self.add[rhs * n + self.neg[lhs]]
-            out[pending[hit]] = self.times[u[hit] * n + r[hit]]
-            keep = ~hit
-            pending, cols = pending[keep], cols[:, keep]
-        return out
+            row = s % e * n + add[rhs * n + neg[lhs]]
+            mask &= sol[np.where(ok, row, e * n)]
+        return np.unpackbits(mask.view(np.uint8), axis=1, count=size,
+                             bitorder="little")
 
 
 @lru_cache(maxsize=8)
@@ -447,10 +447,10 @@ def structure_search(factors, allowed, deadline=None):
     slab of _BFS_CHUNK parent partial assignments and before every
     constraint evaluated on a slab, forcing or checking, so a run overshoots
     it by at most one constraint evaluation; once it has passed the search
-    stops with status -1 and no rows.  `nodes` counts the partial
-    assignments built.  A slab's children live in one column-major intp
-    array, compacted once more than half of them fail (see the comment
-    above _lookup_tables).
+    stops with status -1 and no rows.  `nodes` counts the children built,
+    at a level with forcing constraints only those that pass them all.  A
+    slab's children live in one column-major intp array, compacted once
+    more than half of them fail (see the comment above _lookup_tables).
     """
 
     def expired():
@@ -471,30 +471,29 @@ def structure_search(factors, allowed, deadline=None):
     nodes = 0
     for p, t in enumerate(order):
         vals = np.flatnonzero(allowed[t])
-        forcing = plan.forcing[p] if vals.size > 1 else []
-        e = int(np.lcm.reduce(plan.orders[vals])) if forcing else 0
+        forcing = plan.forcing[p]
+        if forcing:
+            e, sol = plan.solutions(vals)
         survivors = []
         for lo in range(0, frontier.shape[1], _BFS_CHUNK):
             if expired():
                 return stopped()
             part = frontier[:, lo:lo + _BFS_CHUNK].astype(np.intp)
-            nf = 0
-            if forcing:  # a forced parent gets its one value, if admissible
-                z = plan.forced_values(part, forcing, e, expired)
-                if z is None:
+            if forcing:  # each parent with the values forcing leaves it
+                mask = plan.value_mask(part, forcing, e, sol, vals.size,
+                                       expired)
+                if mask is None:
                     return stopped()
-                fixed = np.flatnonzero((z >= 0) & allowed[t, z])  # z<0 masked
-                nf = fixed.size
-                head, part = part[:, fixed], part[:, z < 0]
-            # forced children first, then every free parent with every value
-            w = part.shape[1]
-            cols = np.empty((p + 1, nf + w * vals.size), dtype=np.intp)
-            if nf:
-                cols[:p, :nf] = head
-                cols[p, :nf] = z[fixed]
-            grid = cols[:, nf:].reshape(p + 1, w, vals.size)
-            grid[:p] = part[:, :, None]
-            grid[p] = vals
+                parent, value = np.divmod(np.flatnonzero(mask), vals.size)
+                cols = np.empty((p + 1, parent.size), dtype=np.intp)
+                np.take(part, parent, axis=1, out=cols[:p])
+                cols[p] = vals[value]
+            else:  # every parent with every value
+                w = part.shape[1]
+                cols = np.empty((p + 1, w * vals.size), dtype=np.intp)
+                grid = cols.reshape(p + 1, w, vals.size)
+                grid[:p] = part[:, :, None]
+                grid[p] = vals
             nodes += cols.shape[1]
             dead = np.zeros(cols.shape[1], dtype=bool)
             for con in plan.checks[p]:

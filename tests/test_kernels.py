@@ -429,10 +429,11 @@ def test_structure_search_matches_brute_force():
 
 
 def test_structure_search_matches_brute_force_on_subsets_of_the_torsion():
-    # a forced value must still be admissible where a cell admits only part
-    # of its torsion subgroup
+    # the values forcing leaves a cell must still be admissible where it
+    # admits only part of its torsion subgroup; on Z_4 x Z_4 and Z_2 x Z_8
+    # a forcing coefficient of 2 or 4 is no unit and leaves several values
     rng = np.random.default_rng(7)
-    for factors in [(4,), (9,), (2, 4), (2, 6), (3, 3)] * 4:
+    for factors in [(4,), (9,), (2, 4), (2, 6), (3, 3), (4, 4), (2, 8)] * 4:
         torsion = _search_inputs(factors)
         allowed = torsion & (rng.random(torsion.shape) < 0.6)
         rows, status, _ = kernels.structure_search(factors, allowed)
@@ -441,23 +442,46 @@ def test_structure_search_matches_brute_force_on_subsets_of_the_torsion():
             rows, brute_force_structures(factors, allowed)), factors
 
 
+@pytest.mark.parametrize("cell, forcing", [(0, True), (2, False)],
+                         ids=["forcing-level", "plain-level"])
+def test_structure_search_with_a_cell_admitting_nothing(monkeypatch, cell,
+                                                        forcing):
+    # every other cell admits only 0, so each level keeps the zero product
+    # and cell 0 comes last, at a level with forcing constraints, while
+    # cell 2 comes first, at a level without; either way no row survives
+    sizes = []
+    solutions = kernels._Plan.solutions
+
+    def recorded(self, vals):
+        sizes.append(vals.size)
+        return solutions(self, vals)
+
+    monkeypatch.setattr(kernels._Plan, "solutions", recorded)
+    allowed = np.zeros((9, 8), dtype=np.uint8)
+    allowed[:, 0] = 1
+    allowed[cell] = 0
+    rows, status, _ = kernels.structure_search((2, 2, 2), allowed)
+    assert (rows.shape, status) == ((0, 9), 0)
+    assert (0 in sizes) == forcing
+
+
 def test_structure_search_counts_on_z2_cubed():
     allowed = _search_inputs((2, 2, 2))
     rows, status, nodes = kernels.structure_search(
         (2, 2, 2), allowed, deadline=time.monotonic() + 3600
     )
-    assert (rows.shape, status, nodes) == ((1688, 9), 0, 28866)
+    assert (rows.shape, status, nodes) == ((1688, 9), 0, 22540)
 
 
 @pytest.mark.parametrize("factors, shape, nodes, digest", [
     ((16,), (16, 1), 16, "f23d672bb9b341f9"),
-    ((2, 8), (120, 4), 436, "4a83b21ff251e1cd"),
-    ((4, 4), (616, 4), 6208, "432ddb630ab35fd4"),
-    ((2, 2, 4), (4864, 9), 95740, "4f5a00b13a292b97"),
+    ((2, 8), (120, 4), 340, "4a83b21ff251e1cd"),
+    ((4, 4), (616, 4), 2304, "432ddb630ab35fd4"),
+    ((2, 2, 4), (4864, 9), 51284, "4f5a00b13a292b97"),
 ], ids=["16", "2x8", "4x4", "2x2x4"])
 def test_structure_search_rows_pinned_on_order_16(factors, shape, nodes, digest):
     # rows and their order as the search has always given them, and the
-    # node count of the constraint-first order with forced cells
+    # node count of the constraint-first order with forward checking
     allowed = _search_inputs(factors)
     rows, status, got = kernels.structure_search(factors, allowed)
     blob = rows.astype(np.int64).tobytes()
@@ -475,8 +499,8 @@ def test_structure_search_stops_at_past_deadline():
 
 @pytest.mark.parametrize("chunk", [1, 7, 500])
 @pytest.mark.parametrize("factors, shape, nodes, digest", [
-    ((2, 2, 2), (1688, 9), 28866, "77da948d08eb79e3"),
-    ((2, 2, 4), (4864, 9), 95740, "4f5a00b13a292b97"),
+    ((2, 2, 2), (1688, 9), 22540, "77da948d08eb79e3"),
+    ((2, 2, 4), (4864, 9), 51284, "4f5a00b13a292b97"),
 ], ids=["2x2x2", "2x2x4"])
 def test_structure_search_rows_pinned_across_slabs(monkeypatch, chunk, factors,
                                                    shape, nodes, digest):
@@ -517,11 +541,11 @@ def _deadline_polls(monkeypatch, factors, allowed):
     return polls
 
 
-@pytest.mark.parametrize("where", ["checks", "forced_values"])
+@pytest.mark.parametrize("where", ["checks", "value_mask"])
 def test_structure_search_stops_at_deadline_passing_mid_search(monkeypatch, where):
     # the clock passes the deadline at the middle poll of one site: the
     # check of a constraint on a slab (the line of structure_search that
-    # polls most), or a forcing constraint in forced_values
+    # polls most), or a forcing constraint in value_mask
     factors = (2, 2, 2)
     allowed = _search_inputs(factors)
     polls = _deadline_polls(monkeypatch, factors, allowed)
@@ -537,5 +561,5 @@ def test_structure_search_stops_at_deadline_passing_mid_search(monkeypatch, wher
                         lambda: 1.0 if next(calls) >= stop else 0.0)
     rows, status, nodes = kernels.structure_search(factors, allowed, deadline=1.0)
     assert (rows.shape, status) == ((0, 9), -1)
-    assert 0 < nodes < 28866
+    assert 0 < nodes < 22540
     assert next(calls) == stop + 1  # no poll after the one that passed
