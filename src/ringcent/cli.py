@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--out", metavar="DIR", help="catalog output directory")
     p.add_argument("--resume", action="store_true",
-                   help="skip partitions already recorded in the manifest")
+                   help="reuse the group types the manifest records as done")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("search", help="find n-centralizer rings")

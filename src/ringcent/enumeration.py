@@ -3,10 +3,10 @@
 The search space for order n is, per abelian group of that order, every
 assignment of generator products compatible with the generator orders;
 associativity is enforced on generators (bilinearity gives the rest, and
-distributivity is automatic).  Each group type is searched whole; a run
-that keeps a journal searches one g1*g1 partition at a time, the unit the
-journal records, and stacks the partitions in g1*g1 order, which gives the
-same rows.
+distributivity is automatic).  Each group type is searched whole, in one
+depth-first walk; a run that keeps a journal writes each type's rows to a
+part file as the type finishes, so a run that stops loses only the type it
+was searching.
 """
 
 import json
@@ -35,6 +35,8 @@ from .rings import (
 
 MAX_ENUM_ORDER = 16
 MAX_CANON_ORDER = 16
+
+SCHEMA = 2  # of manifest.json: one journal record per group type
 
 ENV_TIME_BUDGET = "RINGCENT_TIME_BUDGET_SECS"
 DEFAULT_TIME_BUDGET_SECS = 120.0
@@ -321,31 +323,21 @@ def _search_inputs(factors: tuple[int, ...]) -> np.ndarray:
     return np.array(masks, dtype=np.uint8).reshape(-1, math.prod(factors))
 
 
-def raw_structures(factors: tuple[int, ...], g11: Optional[int] = None,
+def raw_structures(factors: tuple[int, ...],
                    deadline: Optional[float] = None) -> np.ndarray:
     """All associative generator-product assignments on the given group, in
-    lexicographic order; optionally restricted to one g1*g1 partition.
+    lexicographic order.
 
     `deadline` is a time.monotonic() value; a search still running when it
-    passes raises PartialUniverse naming the group, the partition and the
-    nodes searched.
+    passes raises PartialUniverse naming the group and the nodes searched.
     """
     factors = tuple(int(d) for d in factors)
-    allowed = _search_inputs(factors)
-    if g11 is not None:
-        mask = np.zeros_like(allowed[0])
-        mask[g11] = allowed[0, g11]
-        allowed = allowed.copy()
-        allowed[0] = mask
     assignments, status, nodes = kernels.structure_search(
-        factors, allowed, deadline
+        factors, _search_inputs(factors), deadline
     )
     if status != 0:
-        raise PartialUniverse(
-            f"time budget ran out on group {list(factors)}"
-            + (f", partition g1*g1={g11}" if g11 is not None else "")
-            + f", after {nodes} search nodes"
-        )
+        raise PartialUniverse(f"time budget ran out on group {list(factors)}, "
+                              f"after {nodes} search nodes")
     return assignments
 
 
@@ -424,10 +416,9 @@ class IsoClassCatalog:
         return iter(self.representatives)
 
 
-def _partition_values(factors: tuple[int, ...]) -> list[int]:
-    if not factors:
-        return []
-    return [int(v) for v in np.flatnonzero(_search_inputs(factors)[0])]
+def _type_key(factors: tuple[int, ...]) -> str:
+    """'2x2x4' for Z_2 x Z_2 x Z_4, and '1' for the trivial group."""
+    return "x".join(map(str, factors)) or "1"
 
 
 def time_budget() -> float:
@@ -473,12 +464,11 @@ def enumerate_rings(n: int, out_dir: Optional[str] = None,
     The search is bounded by a wall-clock deadline time_budget() from the
     start; a search still running at the deadline raises PartialUniverse,
     saying how far the run got, instead of returning a silently truncated
-    catalog.  Without out_dir each group type is searched whole, in one
-    search.  With out_dir set, the search runs one g1*g1 partition at a
-    time (_journaled_search): each partition's rows go to a part file and
-    the manifest is rewritten after every partition, so however the run
-    stops, resume=True reuses the part files the manifest records as done,
-    if they match it (see _load_part).  Both routes give the same rows.
+    catalog.  Each group type is searched whole, in one search.  With
+    out_dir set, each type's rows go to a part file and the manifest is
+    rewritten after every type, so however the run stops, resume=True
+    reuses the part files the manifest records as done, if they match it
+    (see _load_part).
     """
     if n > MAX_ENUM_ORDER:
         raise TooLarge(f"exhaustive enumeration is capped at order {MAX_ENUM_ORDER}")
@@ -489,20 +479,33 @@ def enumerate_rings(n: int, out_dir: Optional[str] = None,
     budget = time_budget()
     start = time.monotonic()
     out_path = Path(out_dir) if out_dir else None
-    partition_log: list[dict] = []
+    recorded: list[dict] = []
     if out_path:
-        raw_rows, partition_log = _journaled_search(n, out_path, resume,
-                                                    start, budget)
-    else:
-        types = groups.abelian_group_types(n)
-        raw_rows = {}
-        for factors in types:
+        recorded = _read_records(out_path, n, resume)
+        (out_path / "parts").mkdir(parents=True, exist_ok=True)
+        (out_path / "rings").mkdir(parents=True, exist_ok=True)
+        _flush_manifest(out_path, n, recorded, complete=False)
+
+    types = groups.abelian_group_types(n)
+    raw_rows: dict[tuple[int, ...], np.ndarray] = {}
+    type_log: list[dict] = []
+    for factors in types:
+        name = f"t{_type_key(factors)}.json"
+        rows = _load_part(out_path, name, recorded, factors)
+        if rows is None:
             try:
-                raw_rows[factors] = raw_structures(factors,
-                                                   deadline=start + budget)
+                rows = raw_structures(factors, start + budget)
             except PartialUniverse as exc:
                 raise _stopped(exc, f"{len(raw_rows)} of {len(types)} group "
                                "types", start, budget) from None
+            if out_path:
+                _save_part(out_path, name, factors, rows)
+        raw_rows[factors] = rows
+        type_log.append({"factors": list(factors), "raw_count": int(rows.shape[0]),
+                         "status": "done", "file": f"parts/{name}"})
+        # keep the resumed records of the types not reached yet
+        _flush_manifest(out_path, n, type_log + recorded[len(type_log):],
+                        complete=False)
 
     reps = []
     for factors, rows in raw_rows.items():
@@ -511,58 +514,8 @@ def enumerate_rings(n: int, out_dir: Optional[str] = None,
                     for cmul in _orbit_classes(factors, rows))
     catalog = IsoClassCatalog(
         n, reps, {factors: rows.shape[0] for factors, rows in raw_rows.items()})
-    _flush_manifest(out_path, n, partition_log, complete=True, catalog=catalog)
+    _flush_manifest(out_path, n, type_log, complete=True, catalog=catalog)
     return catalog
-
-
-def _journaled_search(n: int, out_path: Path, resume: bool, start: float,
-                      budget: float) -> tuple[dict, list[dict]]:
-    """The raw rows of each group type of order n, searched one g1*g1
-    partition at a time and stacked in g1*g1 order, and the partition log.
-    The partition is the journal unit: its rows go to a part file, and the
-    manifest at out_path is rewritten after each one, searched or reused."""
-    recorded = _read_records(out_path, n, resume)
-    (out_path / "parts").mkdir(parents=True, exist_ok=True)
-    (out_path / "rings").mkdir(parents=True, exist_ok=True)
-    _flush_manifest(out_path, n, recorded, complete=False)
-
-    partition_log: list[dict] = []
-    raw_rows: dict[tuple[int, ...], np.ndarray] = {}
-
-    partitions = [(factors, _partition_values(factors))
-                  for factors in groups.abelian_group_types(n)]
-    for factors, values in partitions:
-        if not factors:  # order 1: just the zero ring, in one partition
-            raw_rows[factors] = raw_structures(factors)
-            partition_log.append(
-                {"factors": [], "g11": None, "raw_count": 1, "status": "done"}
-            )
-            continue
-        parts = []
-        for v in values:
-            part_name = f"t{'x'.join(map(str, factors))}_g{v:02d}.json"
-            assignments = _load_part(out_path, part_name, recorded, factors, v)
-            if assignments is None:
-                try:
-                    assignments = raw_structures(factors, g11=v,
-                                                 deadline=start + budget)
-                except PartialUniverse as exc:
-                    raise _stopped(
-                        exc, f"{len(partition_log)} of "
-                        f"{sum(len(vs) for _, vs in partitions)} partitions",
-                        start, budget) from None
-                _save_part(out_path, part_name, factors, v, assignments)
-            parts.append(assignments)
-            partition_log.append(
-                {"factors": list(factors), "g11": v,
-                 "raw_count": int(assignments.shape[0]), "status": "done",
-                 "file": f"parts/{part_name}"}
-            )
-            # keep the resumed records of the partitions not reached yet
-            _flush_manifest(out_path, n, partition_log + recorded[len(partition_log):],
-                            complete=False)
-        raw_rows[factors] = np.concatenate(parts)
-    return raw_rows, partition_log
 
 
 # ---------------------------------------------------------------------------
@@ -578,49 +531,48 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _read_records(out_path: Path, n: int, resume: bool) -> list[dict]:
-    """The partition records of the order-n manifest at out_path to resume
+    """The group-type records of the order-n manifest at out_path to resume
     from; none without resume, or if the manifest is absent, unreadable or
-    malformed.  A manifest of another order is a RingError, raised before
-    anything is written: resuming into it, or writing over it, would orphan
-    that catalog's files."""
+    malformed.  A manifest of another order, or of another schema than
+    SCHEMA (schema 1 journaled g1*g1 partitions), is a RingError, raised
+    before anything is written: resuming into it, or writing over it, would
+    orphan that catalog's files."""
     try:
         doc = json.loads((out_path / "manifest.json").read_text())
-        order = doc["order"]
+        order, schema = doc["order"], doc.get("schema")
     except (OSError, ValueError, KeyError, TypeError):
         return []
+    refusal = (f"cannot {'resume' if resume else 'write'} order {n} in "
+               f"{out_path}: its manifest.json ")
     if order != n:
-        raise RingError(f"cannot {'resume' if resume else 'write'} order {n} "
-                        f"in {out_path}: its manifest.json records a catalog "
-                        f"of order {order}")
-    records = doc.get("partitions")
+        raise RingError(refusal + f"records a catalog of order {order}")
+    if schema != SCHEMA:
+        raise RingError(refusal + f"has schema {schema}, not {SCHEMA}")
+    records = doc.get("types")
     ok = (resume and isinstance(records, list)
           and all(isinstance(e, dict) for e in records))
     return records if ok else []
 
 
-def _save_part(out_path, name, factors, v, assignments) -> None:
-    doc = {
-        "factors": list(factors),
-        "g11": v,
-        "assignments": assignments.tolist(),
-    }
+def _save_part(out_path, name, factors, assignments) -> None:
+    doc = {"factors": list(factors), "assignments": assignments.tolist()}
     _write_atomic(out_path / "parts" / name, json.dumps(doc))
 
 
-def _load_part(out_path, name, recorded, factors, v) -> Optional[np.ndarray]:
-    """Rows of partition (factors, g1*g1 = v) if the manifest records it as
-    done and its part file parses, matches that entry on group, g1*g1 and
-    row count, and names only elements of the group; otherwise None, and the
-    partition is searched again."""
+def _load_part(out_path, name, recorded, factors) -> Optional[np.ndarray]:
+    """Rows of group type factors if the manifest records it as done and its
+    part file parses, matches that record on group and row count, and names
+    only elements of the group; otherwise None, and the type is searched
+    again."""
     done = [e for e in recorded if e.get("factors") == list(factors)
-            and e.get("g11") == v and e.get("status") == "done" and e.get("file")]
+            and e.get("status") == "done" and e.get("file")]
     if not done:
         return None
     try:
         doc = json.loads((out_path / "parts" / name).read_text())
         rows = np.asarray(doc["assignments"], dtype=np.int64)
-        rows = rows.reshape(-1, len(factors) ** 2)
-        ok = (tuple(doc["factors"]) == factors and doc["g11"] == v
+        rows = rows.reshape(len(rows), len(factors) ** 2)  # order 1: (1, 0)
+        ok = (tuple(doc["factors"]) == factors
               and rows.shape[0] == done[0].get("raw_count")
               and ((rows >= 0) & (rows < math.prod(factors))).all())
     except (OSError, ValueError, KeyError, TypeError):
@@ -628,20 +580,20 @@ def _load_part(out_path, name, recorded, factors, v) -> Optional[np.ndarray]:
     return rows if ok else None
 
 
-def _flush_manifest(out_path, n, partition_log, complete, catalog=None) -> None:
+def _flush_manifest(out_path, n, type_log, complete, catalog=None) -> None:
     if out_path is None:
         return
     doc = {
-        "schema": 1,
+        "schema": SCHEMA,
         "order": n,
         "complete": complete,
-        "partitions": partition_log,
+        "types": type_log,
     }
     if catalog is not None:
         doc["raw_total"] = catalog.raw_count
         doc["classes"] = catalog.class_count
         doc["per_type_raw"] = {
-            "x".join(map(str, t)) or "1": c for t, c in catalog.per_type_raw.items()
+            _type_key(t): c for t, c in catalog.per_type_raw.items()
         }
         files = []
         for ring in catalog.representatives:

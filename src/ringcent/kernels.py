@@ -241,17 +241,17 @@ def distrib_check(A, M):
 #
 # A bilinear multiplication on Z_{d1} x ... x Z_{dk} is a choice of g_i*g_j
 # for every generator pair, i.e. k*k cells each holding a group element.
-# The search fills one cell per breadth-first level and checks the generator
-# associativity constraints (g_a g_b) g_c = g_a (g_b g_c) as their inputs
-# arrive.  A constraint's inputs are cells (a,b), (b,c), plus (m,c) for m in
-# the support of g_a*g_b and (a,m) for m in the support of g_b*g_c.  So every
-# input lies in row a or column c.  A constraint is checked on the children
-# at the level of the later of (a,b) and (b,c), and forward checks every
-# later level whose cell is in row a or column c (see below); the
-# support-dependent inputs make availability differ from row to row, and a
-# row is pruned only where every input is filled.  At the level of its last
-# input a constraint is complete, so the rows left at the end are exactly
-# the associative assignments, whatever the order.
+# The search fills one cell per level of a depth-first walk and checks the
+# generator associativity constraints (g_a g_b) g_c = g_a (g_b g_c) as their
+# inputs arrive.  A constraint's inputs are cells (a,b), (b,c), plus (m,c) for
+# m in the support of g_a*g_b and (a,m) for m in the support of g_b*g_c.  So
+# every input lies in row a or column c.  A constraint is checked on the
+# children at the level of the later of (a,b) and (b,c), and forward checks
+# every later level whose cell is in row a or column c (see below); the
+# support-dependent inputs make availability differ from row to row, and a row
+# is pruned only where every input is filled.  At the level of its last input a
+# constraint is complete, so the rows left at the end are exactly the
+# associative assignments, whatever the order.
 #
 # Cells are filled constraint first (fail first; Haralick & Elliott, 1980):
 # the cells with one admissible value, then the row and column of the last
@@ -277,16 +277,19 @@ def distrib_check(A, M):
 # with y = g_b g_c.  A term whose cell is not filled yet must have a zero
 # coefficient for the constraint to be checkable.
 #
-# Layout: the frontier is column-major, one int16 row per filled cell and
-# one column per partial assignment.  A slab of _BFS_CHUNK parents is cast
-# once to intp, the type the lookup tables hold and index with.  A parent's
-# value mask is a row of uint64 words, one bit per admissible value; its
-# children, or without forcing constraints the whole parents x values grid,
-# go into one preallocated (cells, children) intp array.  A check masks the
-# children it fails; the slab is compacted only once more than half of it
-# is dead, so a constraint may be evaluated on children an earlier one
-# failed, and its result there is ignored.  The survivors are stored as
-# int16 and transposed to rows once, at the end.
+# Layout: the walk keeps a stack of (level, slab) pairs, a slab being at most
+# _BFS_CHUNK partial assignments of one level, column-major: one int16 row per
+# filled cell and one column per assignment.  It pops the slab pushed last,
+# expands it into the next level and pushes the survivors back in slabs, the
+# first on top, so the stack holds one path of slabs at a time and not a whole
+# level.  A popped slab is cast once to intp, the type the lookup tables hold
+# and index with.  A parent's value mask is a row of uint64 words, one bit per
+# admissible value; its children, or without forcing constraints the whole
+# parents x values grid, go into one preallocated (cells, children) intp
+# array.  A check masks the children it fails; the slab is compacted only once
+# more than half of it is dead, so a constraint may be evaluated on children
+# an earlier one failed, and its result there is ignored.  Complete
+# assignments are gathered as int16 and transposed to rows once, at the end.
 
 
 def _lookup_tables(factors):
@@ -327,10 +330,10 @@ class _Constraint(NamedTuple):
 
 class _Plan:
     """What the search derives from the group and the fill order, built once
-    and shared by every search with that order (the g1*g1 partitions of one
-    group type): element-index lookup tables, the column of each cell, and
-    per level the constraints to check on its children (x or y is its cell)
-    and to forward check its parents with (its cell is a term)."""
+    and shared by every search with that order: element-index lookup tables,
+    the column of each cell, and per level the constraints to check on its
+    children (x or y is its cell) and to forward check its parents with (its
+    cell is a term)."""
 
     def __init__(self, factors, order):
         coeff = groups.coeff_vectors(factors)
@@ -444,13 +447,14 @@ def structure_search(factors, allowed, deadline=None):
     products per cell.
     Returns (assignments, status, nodes) with the rows in lexicographic
     order.  `deadline` is a `time.monotonic()` value checked before every
-    slab of _BFS_CHUNK parent partial assignments and before every
+    slab of at most _BFS_CHUNK parent partial assignments and before every
     constraint evaluated on a slab, forcing or checking, so a run overshoots
     it by at most one constraint evaluation; once it has passed the search
     stops with status -1 and no rows.  `nodes` counts the children built,
-    at a level with forcing constraints only those that pass them all.  A
-    slab's children live in one column-major intp array, compacted once
-    more than half of them fail (see the comment above _lookup_tables).
+    at a level with forcing constraints only those that pass them all.  The
+    slabs are walked depth first; a slab's children live in one column-major
+    intp array, compacted once more than half of them fail (see the comment
+    above _lookup_tables).
     """
 
     def expired():
@@ -467,48 +471,50 @@ def structure_search(factors, allowed, deadline=None):
     order = tuple(sorted(range(kk), key=lambda t: (
         counts[t] > 1, -max(divmod(t, k)), t)))
     plan = _plan(factors, order)
-    frontier = np.zeros((0, 1), dtype=np.int16)  # (cells, rows): one empty row
+    vals = [np.flatnonzero(allowed[t]) for t in order]
+    tables = [plan.solutions(v) if plan.forcing[p] else None
+              for p, v in enumerate(vals)]
+    stack = [(0, np.zeros((0, 1), dtype=np.int16))]  # one empty assignment
+    leaves = [np.zeros((kk, 0), dtype=np.int16)]
     nodes = 0
-    for p, t in enumerate(order):
-        vals = np.flatnonzero(allowed[t])
-        forcing = plan.forcing[p]
-        if forcing:
-            e, sol = plan.solutions(vals)
-        survivors = []
-        for lo in range(0, frontier.shape[1], _BFS_CHUNK):
+    while stack:
+        p, slab = stack.pop()
+        if p == kk:
+            leaves.append(slab)
+            continue
+        if expired():
+            return stopped()
+        part = slab.astype(np.intp)
+        forcing, size = plan.forcing[p], vals[p].size
+        if forcing:  # each parent with the values forcing leaves it
+            mask = plan.value_mask(part, forcing, *tables[p], size, expired)
+            if mask is None:
+                return stopped()
+            parent, value = np.divmod(np.flatnonzero(mask), size)
+            cols = np.empty((p + 1, parent.size), dtype=np.intp)
+            np.take(part, parent, axis=1, out=cols[:p])
+            cols[p] = vals[p][value]
+        else:  # every parent with every value
+            w = part.shape[1]
+            cols = np.empty((p + 1, w * size), dtype=np.intp)
+            grid = cols.reshape(p + 1, w, size)
+            grid[:p] = part[:, :, None]
+            grid[p] = vals[p]
+        nodes += cols.shape[1]
+        dead = np.zeros(cols.shape[1], dtype=bool)
+        for con in plan.checks[p]:
             if expired():
                 return stopped()
-            part = frontier[:, lo:lo + _BFS_CHUNK].astype(np.intp)
-            if forcing:  # each parent with the values forcing leaves it
-                mask = plan.value_mask(part, forcing, e, sol, vals.size,
-                                       expired)
-                if mask is None:
-                    return stopped()
-                parent, value = np.divmod(np.flatnonzero(mask), vals.size)
-                cols = np.empty((p + 1, parent.size), dtype=np.intp)
-                np.take(part, parent, axis=1, out=cols[:p])
-                cols[p] = vals[value]
-            else:  # every parent with every value
-                w = part.shape[1]
-                cols = np.empty((p + 1, w * vals.size), dtype=np.intp)
-                grid = cols.reshape(p + 1, w, vals.size)
-                grid[:p] = part[:, :, None]
-                grid[p] = vals
-            nodes += cols.shape[1]
-            dead = np.zeros(cols.shape[1], dtype=bool)
-            for con in plan.checks[p]:
-                if expired():
-                    return stopped()
-                lhs, rhs, ok = plan.sides(cols, con)
-                dead |= ok & (lhs != rhs)
-                if 2 * np.count_nonzero(dead) > dead.size:
-                    cols = cols[:, ~dead]
-                    dead = np.zeros(cols.shape[1], dtype=bool)
-            survivors.append(cols.compress(~dead, axis=1).astype(np.int16))
-        frontier = np.concatenate(survivors, axis=1)
-        if frontier.shape[1] == 0:
-            return np.zeros((0, kk), dtype=np.int64), 0, nodes
-    cols = frontier[plan.pos]  # cells back in row-major order
+            lhs, rhs, ok = plan.sides(cols, con)
+            dead |= ok & (lhs != rhs)
+            if 2 * np.count_nonzero(dead) > dead.size:
+                cols = cols[:, ~dead]
+                dead = np.zeros(cols.shape[1], dtype=bool)
+        kept = cols.compress(~dead, axis=1).astype(np.int16)
+        # the first slab goes on top, so children are walked in order
+        stack.extend((p + 1, kept[:, lo:lo + _BFS_CHUNK]) for lo in
+                     reversed(range(0, kept.shape[1], _BFS_CHUNK)))
+    cols = np.concatenate(leaves, axis=1)[plan.pos]  # cells in row-major order
     if kk:  # lexsort needs a key; the trivial group has its one empty row
         cols = cols[:, np.lexsort(cols[::-1])]
     return np.ascontiguousarray(cols.T, dtype=np.int64), 0, nodes

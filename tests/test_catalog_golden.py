@@ -2,9 +2,9 @@
 
 For each order the golden records the class count and the sha256 of the
 representatives' specs (label, canonical add and mul tables) serialized as
-one JSON list.  Both routes of enumerate_rings must give it: the search of
-each group type in one piece, and the search one g1*g1 partition at a time
-behind a catalog directory, read back by read_catalog.  Regenerate with:
+one JSON list.  enumerate_rings must give it both without a catalog
+directory and with one, whose journal writes each group type's rows to a
+part file, read back by read_catalog.  Regenerate with:
 
     PYTHONPATH=src python tests/test_catalog_golden.py
 """

@@ -379,3 +379,46 @@ def test_enumerate_over_a_catalog_of_another_order_fails(tmp_path, capsys):
     assert "catalog of order 4" in err
     assert (out_dir / "manifest.json").read_bytes() == manifest
     assert sorted(out_dir.rglob("*")) == files
+
+
+def _schema_1_catalog(capsys, out_dir):
+    """A complete order-4 catalog under a schema-1 manifest: the same rings
+    and counts, with a journal of g1*g1 partitions in place of group types.
+    Returns the manifest's bytes."""
+    run_cli(capsys, "enumerate", "--order", "4", "--out", str(out_dir))
+    manifest = out_dir / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["schema"] = 1
+    doc["partitions"] = [
+        {"factors": e["factors"], "g11": 0, "raw_count": e["raw_count"],
+         "status": "done", "file": e["file"].replace(".json", "_g00.json")}
+        for e in doc.pop("types")]
+    manifest.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return manifest.read_bytes()
+
+
+@pytest.mark.parametrize("verb", ["write", "resume"])
+def test_enumerate_refuses_a_schema_1_journal(tmp_path, capsys, verb):
+    # its part files are not the group types' parts, and writing over the
+    # manifest would orphan them
+    out_dir = tmp_path / "cat4"
+    manifest = _schema_1_catalog(capsys, out_dir)
+    files = sorted(out_dir.rglob("*"))
+    code = main(["enumerate", "--order", "4", "--out", str(out_dir)]
+                + (["--resume"] if verb == "resume" else []))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: RingError: cannot {verb} order 4 ")
+    assert "has schema 1, not 2" in err and len(err.splitlines()) == 1
+    assert (out_dir / "manifest.json").read_bytes() == manifest
+    assert sorted(out_dir.rglob("*")) == files
+
+
+def test_verify_loads_a_complete_schema_1_catalog(tmp_path, capsys):
+    out_dir = tmp_path / "cat4"
+    _schema_1_catalog(capsys, out_dir)
+    code, out = run_cli(capsys, "verify", "--suite", "all", "--universe",
+                        str(out_dir), "--json", "--no-timing")
+    docs = {doc["suite"]: doc for doc in json.loads(out)}
+    assert code == 0 and all(doc["passed"] for doc in docs.values())
+    assert docs["D_58"]["checked"] == 11  # one check per ring

@@ -27,7 +27,6 @@ from ringcent.enumeration import (
     _min_group_automorphisms,
     _min_group_table,
     _orbit_classes,
-    _partition_values,
     coordinates,
     element_fingerprints,
     enumerate_mul_tables,
@@ -344,15 +343,6 @@ def test_raw_structures_of_the_trivial_group():
     assert enumerate_rings(1).raw_count == 1
 
 
-def test_partition_merge_equals_unpartitioned():
-    from ringcent.enumeration import _partition_values
-
-    for factors in [(2, 2), (2, 2, 2), (2, 2, 4)]:
-        merged = [raw_structures(factors, g11=v) for v in _partition_values(factors)]
-        # the partitions in g1*g1 order, stacked, are the whole search row for row
-        assert np.array_equal(np.concatenate(merged), raw_structures(factors)), factors
-
-
 def test_structure_to_ring_validates():
     arr = raw_structures((3,))
     rings = [validate(RingSpec.structure([3], _constants((3,), row).tolist()))
@@ -430,23 +420,21 @@ def test_budget_is_a_wall_clock_deadline(tmp_path, monkeypatch):
         enumerate_rings(16, out_dir=str(tmp_path))
     assert time.monotonic() - start < 1.5
     m = re.fullmatch(
-        r"time budget ran out on group \[([\d, ]+)\], partition g1\*g1=(\d+), "
-        r"after (\d+) search nodes; (\d+) of (\d+) partitions finished, "
+        r"time budget ran out on group \[([\d, ]+)\], after (\d+) search "
+        r"nodes; (\d+) of (\d+) group types finished, "
         r"([\d.]+) s ran against a 0.5 s budget",
         str(err.value),
     )
     assert m, str(err.value)
-    group, g11, nodes, done, total, secs = m.groups()
-    sequence = [(f, v) for f in abelian_group_types(16)
-                for v in _partition_values(f)]
-    assert int(total) == len(sequence)
-    factors = tuple(int(x) for x in group.split(", "))
-    assert sequence[int(done)] == (factors, int(g11))
+    group, nodes, done, total, secs = m.groups()
+    types = abelian_group_types(16)
+    assert int(total) == len(types)
+    assert types[int(done)] == tuple(int(x) for x in group.split(", "))
     assert int(nodes) > 0
     assert 0.5 <= float(secs) < 1.5
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert not manifest["complete"]
-    assert len(manifest["partitions"]) == int(done)
+    assert len(manifest["types"]) == int(done)
 
 
 def test_budget_without_a_journal_names_the_group_types_finished(monkeypatch):
@@ -500,7 +488,7 @@ def test_catalog_write_read_resume(tmp_path, catalog):
     for a, b in zip(cat.representatives, loaded.representatives):
         assert np.array_equal(a.add, b.add)
         assert np.array_equal(a.mul, b.mul)
-    # resume must reuse the recorded partitions and reach the same catalog
+    # resume must reuse the recorded group types and reach the same catalog
     again = enumerate_rings(6, out_dir=str(out), resume=True)
     assert again.class_count == cat.class_count
     with open(out / "manifest.json") as fh:
@@ -512,7 +500,7 @@ def test_catalog_write_read_resume(tmp_path, catalog):
 def _largest_part(out):
     """Path of the part with the most rows in the catalog at out."""
     doc = json.loads((out / "manifest.json").read_text())
-    entry = max(doc["partitions"], key=lambda e: e["raw_count"])
+    entry = max(doc["types"], key=lambda e: e["raw_count"])
     assert entry["raw_count"] > 1
     return out / entry["file"]
 
@@ -534,31 +522,31 @@ def test_resume_searches_damaged_parts_again(tmp_path, damage):
         doc = json.loads(whole)
         doc["assignments"][0][0] = int(damage)
         part.write_text(json.dumps(doc))
-    elif damage == "manifest":  # unreadable: every partition is searched again
+    elif damage == "manifest":  # unreadable: every type is searched again
         manifest = out / "manifest.json"
         manifest.write_text(manifest.read_text()[:100])
     else:  # records that are not a list of objects, or one bad record
         manifest = out / "manifest.json"
         doc = json.loads(manifest.read_text())
         if damage == "records":
-            doc["partitions"] = {"t3x3_g00": 1}
+            doc["types"] = {"t3x3": 1}
         else:
-            doc["partitions"][0]["factors"] = 9
+            doc["types"][0]["factors"] = 9
         manifest.write_text(json.dumps(doc))
     again = enumerate_rings(9, out_dir=str(out), resume=True)
     assert again.raw_count == fresh.raw_count == 130
     assert again.class_count == fresh.class_count == 11
-    assert part.read_text() == whole  # the partition was searched again
+    assert part.read_text() == whole  # the type was searched again
     for a, b in zip(fresh.representatives, again.representatives):
         assert np.array_equal(a.mul, b.mul)
 
 
 def test_an_interrupted_run_resumes_from_its_journal(tmp_path, monkeypatch):
-    # the 4th partition search is interrupted, as Ctrl-C or a kill would;
-    # the 3 finished partitions must be on record for resume
+    # the 3rd group type's search is interrupted, as Ctrl-C or a kill would;
+    # the 2 finished types must be on record for resume
     from ringcent import enumeration
 
-    out = tmp_path / "cat9"
+    out = tmp_path / "cat8"
     search = enumeration.raw_structures
     calls = []
 
@@ -567,30 +555,30 @@ def test_an_interrupted_run_resumes_from_its_journal(tmp_path, monkeypatch):
         return search(*args, **kwargs)
 
     def interrupted(*args, **kwargs):
-        if len(calls) == 3:
+        if len(calls) == 2:
             raise KeyboardInterrupt
         return counted(*args, **kwargs)
 
     monkeypatch.setattr(enumeration, "raw_structures", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        enumerate_rings(9, out_dir=str(out))
+        enumerate_rings(8, out_dir=str(out))
     manifest = json.loads((out / "manifest.json").read_text())
-    assert not manifest["complete"] and len(manifest["partitions"]) == 3
+    assert not manifest["complete"] and len(manifest["types"]) == 2
     calls.clear()
     monkeypatch.setattr(enumeration, "raw_structures", counted)
-    again = enumerate_rings(9, out_dir=str(out), resume=True)
-    assert len(calls) == 15 == 18 - 3
+    again = enumerate_rings(8, out_dir=str(out), resume=True)
+    assert len(calls) == 1 == 3 - 2
     monkeypatch.setattr(enumeration, "raw_structures", search)
-    fresh = enumerate_rings(9)
-    assert again.class_count == fresh.class_count == 11
+    fresh = enumerate_rings(8)
+    assert again.class_count == fresh.class_count == 52
     for a, b in zip(fresh.representatives, again.representatives, strict=True):
         assert np.array_equal(a.add, b.add) and np.array_equal(a.mul, b.mul)
 
 
 def test_a_resume_interrupted_while_reusing_keeps_the_later_records(
         tmp_path, monkeypatch):
-    # the journal rewritten after the first reused partition must still
-    # record the 17 finished partitions that run had not reached
+    # the journal rewritten after the first reused group type must still
+    # record the finished type that run had not reached
     from ringcent import enumeration
 
     out = tmp_path / "cat9"
@@ -608,30 +596,45 @@ def test_a_resume_interrupted_while_reusing_keeps_the_later_records(
     with pytest.raises(KeyboardInterrupt):
         enumerate_rings(9, out_dir=str(out), resume=True)
     manifest = json.loads((out / "manifest.json").read_text())
-    assert not manifest["complete"] and len(manifest["partitions"]) == 18
+    assert not manifest["complete"] and len(manifest["types"]) == 2
     monkeypatch.setattr(enumeration, "_load_part", load)
     monkeypatch.setattr(enumeration, "raw_structures", None)  # nothing to search
     assert enumerate_rings(9, out_dir=str(out), resume=True).class_count == 11
 
 
-@pytest.mark.parametrize("part_of, message", [
-    (_largest_part, "is not among the raw structures"),
-    # the zero ring is a whole orbit: without it the orbits cover too few rows
-    (lambda out: out / "parts" / "t3x3_g00.json", "orbits cover 120"),
+@pytest.mark.parametrize("row, message", [
+    (1, "is not among the raw structures"),
+    # row 0, the zero ring, is a whole orbit: without it the orbits cover
+    # too few rows
+    (0, "orbits cover 120"),
 ], ids=["largest-part", "zero-ring-orbit"])
-def test_resume_refuses_rows_that_are_not_whole_orbits(tmp_path, part_of,
-                                                        message):
+def test_resume_refuses_rows_that_are_not_whole_orbits(tmp_path, row, message):
     out = tmp_path / "cat9"
     enumerate_rings(9, out_dir=str(out))
-    part = part_of(out)
+    part = _largest_part(out)
+    assert part.name == "t3x3.json"
     doc = json.loads(part.read_text())
-    assert doc["assignments"][0] != doc["assignments"][1]
-    doc["assignments"][0] = doc["assignments"][1]  # the row count still matches
+    assert doc["assignments"][row] != doc["assignments"][row + 1]
+    # the row count still matches
+    doc["assignments"][row] = doc["assignments"][row + 1]
     part.write_text(json.dumps(doc))
     with pytest.raises(RingError, match=re.escape(f"group {doc['factors']}")) \
             as exc:
         enumerate_rings(9, out_dir=str(out), resume=True)
     assert message in str(exc.value)
+
+
+def test_order_one_written_with_a_journal_is_reused_on_resume(tmp_path,
+                                                              monkeypatch):
+    # the zero ring's part holds one row of no cells, [[]]
+    from ringcent import enumeration
+
+    enumerate_rings(1, out_dir=str(tmp_path))
+    part = json.loads((tmp_path / "parts" / "t1.json").read_text())
+    assert part == {"factors": [], "assignments": [[]]}
+    monkeypatch.setattr(enumeration, "raw_structures", None)  # nothing to search
+    again = enumerate_rings(1, out_dir=str(tmp_path), resume=True)
+    assert (again.class_count, again.raw_count) == (1, 1)
 
 
 def test_resume_without_out_dir_is_an_error():

@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import sys
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -563,3 +564,21 @@ def test_structure_search_stops_at_deadline_passing_mid_search(monkeypatch, wher
     assert (rows.shape, status) == ((0, 9), -1)
     assert 0 < nodes < 22540
     assert next(calls) == stop + 1  # no poll after the one that passed
+
+
+def test_structure_search_memory_stays_bounded_on_z2_to_the_4(monkeypatch):
+    # the walk keeps one path of slabs, not a whole level: after 1000
+    # deadline polls on Z_2^4 a breadth-first frontier held about 200 MB
+    factors = (2, 2, 2, 2)
+    calls = itertools.count()
+    monkeypatch.setattr(kernels.time, "monotonic",
+                        lambda: 1.0 if next(calls) >= 1000 else 0.0)
+    tracemalloc.start()
+    try:
+        rows, status, nodes = kernels.structure_search(
+            factors, _search_inputs(factors), deadline=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rows.shape, status) == ((0, 16), -1) and nodes > 0
+    assert peak < 100 * 2**20, f"{peak / 2**20:.1f} MB"
