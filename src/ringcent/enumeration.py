@@ -354,15 +354,18 @@ def _orbit_classes(factors: tuple[int, ...], rows: np.ndarray) -> list[np.ndarra
     """Canonical multiplication of each Aut(G)-orbit among the raw rows of one
     group type, in the order of each orbit's first row.
 
-    Rows are walked in search order.  A row not yet seen is expanded, without
-    validate (the search guarantees associativity, bilinearity
-    distributivity), and transported under every automorphism of the group
-    (_transports): the least transported table is its class's canonical
-    multiplication, and every transported table, read back at the generators
-    in standard coordinates, is a row of the same orbit, skipped from then on.
+    Rows are walked in search order.  A row not yet seen is expanded and
+    transported under every automorphism of the group (_transports): the
+    least transported table is its class's canonical multiplication, and
+    every transported table, read back at the generators in standard
+    coordinates, is a row of the same orbit, skipped from then on.
     The orbits must partition the rows, so an image that is not a raw row, or
     orbit sizes that do not sum to the row count (a row missing or repeated),
     raise RingError naming the group rather than give a wrong catalog.
+
+    On the search's rows each class is a proved ring: the search proved
+    associativity on the generators, and the bilinear expansion carries it
+    to every triple and distributes.
     """
     k = len(factors)
     _, sigma = _min_group_table(factors)
@@ -459,7 +462,9 @@ def enumerate_rings(n: int, out_dir: Optional[str] = None,
     becomes representative o{n}_c{k:03d}, stored in canonical tables, the
     least transported multiplication over the minimal group table (the
     tables canonical_form gives).  isomorphic stays out of it, as the
-    independent check.
+    independent check.  The classes of a type searched in this run are
+    marked proved, keeping the search's proof; those of a type read from a
+    part file, input like any other, are validated.
 
     The search is bounded by a wall-clock deadline time_budget() from the
     start; a search still running at the deadline raises PartialUniverse,
@@ -488,6 +493,7 @@ def enumerate_rings(n: int, out_dir: Optional[str] = None,
 
     types = groups.abelian_group_types(n)
     raw_rows: dict[tuple[int, ...], np.ndarray] = {}
+    searched: set[tuple[int, ...]] = set()
     type_log: list[dict] = []
     for factors in types:
         name = f"t{_type_key(factors)}.json"
@@ -498,6 +504,7 @@ def enumerate_rings(n: int, out_dir: Optional[str] = None,
             except PartialUniverse as exc:
                 raise _stopped(exc, f"{len(raw_rows)} of {len(types)} group "
                                "types", start, budget) from None
+            searched.add(factors)
             if out_path:
                 _save_part(out_path, name, factors, rows)
         raw_rows[factors] = rows
@@ -510,8 +517,10 @@ def enumerate_rings(n: int, out_dir: Optional[str] = None,
     reps = []
     for factors, rows in raw_rows.items():
         table = _min_group_table(factors)[0]
-        reps.extend(validate(FiniteRing(table, cmul, f"o{n}_c{len(reps):03d}"))
-                    for cmul in _orbit_classes(factors, rows))
+        for cmul in _orbit_classes(factors, rows):
+            ring = FiniteRing(table, cmul, f"o{n}_c{len(reps):03d}")
+            ring.proved = factors in searched  # else its rows are file input
+            reps.append(ring if ring.proved else validate(ring))
     catalog = IsoClassCatalog(
         n, reps, {factors: rows.shape[0] for factors, rows in raw_rows.items()})
     _flush_manifest(out_path, n, type_log, complete=True, catalog=catalog)

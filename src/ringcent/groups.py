@@ -111,7 +111,6 @@ def invariant_factors(parts_by_prime: dict[int, list[int]]) -> tuple[int, ...]:
     return tuple(reversed(descending))
 
 
-@lru_cache(maxsize=None)
 def abelian_group_types(n: int) -> tuple[tuple[int, ...], ...]:
     """Invariant-factor chains (ascending divisibility) of all abelian groups
     of order n, in deterministic sorted order."""

@@ -10,9 +10,7 @@ emits its rows in lexicographic order and can stop at a wall-clock deadline.
 
 import itertools
 import time
-import weakref
 from contextlib import contextmanager
-from functools import lru_cache
 from math import lcm
 from typing import NamedTuple, Optional
 
@@ -33,7 +31,7 @@ _PASS = (OK, -1, -1, -1)
 _CHUNK_ROWS = 32          # slab height for vectorized triple checks
 _SLAB_CELLS = 1 << 16     # table entries per generator slab; cache-sized
 _BFS_CHUNK = 1 << 14      # partial assignments per slab in the search
-_keys = None              # id(T) -> _Table(T) inside shared_keys()
+_proofs = None            # (proof, table ids) -> result in shared_proofs()
 
 
 def _scan(code, n, sides):
@@ -97,66 +95,46 @@ def _generators(A):
     return np.array(gens, dtype=np.int64)
 
 
-class _Table:
-    """Table T as the key of the proofs' caches: hashed by its bytes and
-    compared entry by entry, holding only a weak reference to T, so a cache
-    keeps no table alive.  A table changed in place after a check hashes
-    anew, so it is proved again; each kernel stays exact for any input."""
-
-    __slots__ = ("ref", "_hash")
-
-    def __init__(self, T):
-        self.ref = weakref.ref(T)
-        self._hash = hash((T.shape, T.tobytes()))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        a, b = self.ref(), other.ref()
-        return a is not None and (a is b or b is not None and a.shape == b.shape
-                                  and bool((a == b).all()))
-
-
 @contextmanager
-def shared_keys():
-    """Key each table once for the law checks run inside on tables that
-    stay alive and unchanged, as validate runs all three on one pair."""
-    global _keys
-    _keys = {}
+def shared_proofs():
+    """Memoize the generator proofs of the law checks run inside, by the ids
+    of their tables: the caller keeps the tables alive and unchanged, as
+    validate does for the three checks it runs on one pair.  Outside it,
+    every check proves afresh."""
+    global _proofs
+    _proofs = {}
     try:
         yield
     finally:
-        _keys = None
+        _proofs = None
 
 
-def _key(T):
-    if _keys is None:
-        return _Table(T)
-    return _keys.get(id(T)) or _keys.setdefault(id(T), _Table(T))
+def _proved(proof, *tables):
+    """proof(*tables), memoized inside shared_proofs()."""
+    if _proofs is None:
+        return proof(*tables)
+    key = (proof, *map(id, tables))
+    if key not in _proofs:
+        _proofs[key] = proof(*tables)
+    return _proofs[key]
 
 
-@lru_cache(maxsize=1)
-def _associative_generators(a):
-    """Generators of table a in slabs of _SLAB_CELLS entries per table (one
+def _associative_generators(A):
+    """Generators of table A in slabs of _SLAB_CELLS entries per table (one
     slab of all is twice as slow at n = 256), or None if Light's test fails."""
-    A = a.ref()
     gens = _generators(A)
-    gens.setflags(write=False)  # shared by every caller of the cache
     step = max(1, _SLAB_CELLS // A.size)
     slabs = [gens[i:i + step] for i in range(0, len(gens), step)]
     if all(np.array_equal(A[A[:, gs], :], A[:, A[gs, :]]) for gs in slabs):
         return slabs
 
 
-@lru_cache(maxsize=1)
-def _distributes(a, m):
-    """(left, right): whether table m distributes over table a on each side,
-    proved on the generators of a; both False when a fails Light's test."""
-    slabs = _associative_generators(a)
+def _distributes(A, M):
+    """(left, right): whether table M distributes over table A on each side,
+    proved on the generators of A; both False when A fails Light's test."""
+    slabs = _proved(_associative_generators, A)
     if slabs is None:
         return False, False
-    A, M = a.ref(), m.ref()
     # (y+g)x = yx + gx for every generator g, all x, y
     right = all(np.array_equal(M[A[:, gs], :], A[M[:, None, :], M[gs][None]])
                 for gs in slabs)
@@ -185,7 +163,7 @@ def add_table_check(A):
     if sym.size:
         i, j = sym[sym[:, 0] < sym[:, 1]][0]  # argwhere is in scan order
         return NONCOMMUTATIVE_ADD, int(i), int(j), -1
-    if _associative_generators(_key(A)) is None:
+    if _proved(_associative_generators, A) is None:
         bad = _scan(NONASSOCIATIVE_ADD, n,
                     lambda rows: (A[A[rows, :], :], A[rows][:, A]))
         if bad:
@@ -203,9 +181,8 @@ def add_table_check(A):
 def mul_assoc_check(A, M):
     """First associativity failure in M, or (OK, -1, -1, -1).  The addition
     table A only serves the proof on generators."""
-    a = _key(A)
-    if all(_distributes(a, _key(M))):
-        gens = np.concatenate(_associative_generators(a))
+    if all(_proved(_distributes, A, M)):
+        gens = np.concatenate(_proved(_associative_generators, A))
         prods = M[np.ix_(gens, gens)]
         if np.array_equal(M[prods][:, :, gens], M[gens][:, prods]):
             return _PASS
@@ -220,7 +197,7 @@ def mul_assoc_check(A, M):
 def distrib_check(A, M):
     """First distributivity failure of M over A, or (OK, -1, -1, -1)."""
     n = A.shape[0]
-    left, right = _distributes(_key(A), _key(M))
+    left, right = _proved(_distributes, A, M)
     if not left:
         bad = _scan(NONDISTRIBUTIVE_LEFT, n, lambda rows: (
             M[rows][:, A],
@@ -269,9 +246,9 @@ def distrib_check(A, M):
 # only the constraints whose x or y is the new cell remain as checks.
 #
 # Both sides are computed on element indices through lookup tables built once
-# per group and fill order (_plan), in the standard encoding of
-# groups.coeff_vectors, which reads an element's index off its coefficient
-# vector with one product by the radix weights: with x = g_a g_b,
+# per search (_Plan), in the standard encoding of groups.coeff_vectors, which
+# reads an element's index off its coefficient vector with one product by the
+# radix weights: with x = g_a g_b,
 # (g_a g_b) g_c = sum_m x_m (g_m g_c) folds the elements x_m * (g_m g_c)
 # with the group sum, and likewise for g_a (g_b g_c) = sum_m y_m (g_a g_m)
 # with y = g_b g_c.  A term whose cell is not filled yet must have a zero
@@ -329,11 +306,10 @@ class _Constraint(NamedTuple):
 
 
 class _Plan:
-    """What the search derives from the group and the fill order, built once
-    and shared by every search with that order: element-index lookup tables,
-    the column of each cell, and per level the constraints to check on its
-    children (x or y is its cell) and to forward check its parents with (its
-    cell is a term)."""
+    """What one search derives from the group and the fill order, built once
+    at its start: element-index lookup tables, the column of each cell, and
+    per level the constraints to check on its children (x or y is its cell)
+    and to forward check its parents with (its cell is a term)."""
 
     def __init__(self, factors, order):
         coeff = groups.coeff_vectors(factors)
@@ -434,11 +410,6 @@ class _Plan:
                              bitorder="little")
 
 
-@lru_cache(maxsize=8)
-def _plan(factors, order):
-    return _Plan(factors, order)
-
-
 def structure_search(factors, allowed, deadline=None):
     """All associative generator-product assignments for one additive group.
 
@@ -470,7 +441,7 @@ def structure_search(factors, allowed, deadline=None):
     counts = allowed.sum(axis=1)
     order = tuple(sorted(range(kk), key=lambda t: (
         counts[t] > 1, -max(divmod(t, k)), t)))
-    plan = _plan(factors, order)
+    plan = _Plan(factors, order)
     vals = [np.flatnonzero(allowed[t]) for t in order]
     tables = [plan.solutions(v) if plan.forcing[p] else None
               for p, v in enumerate(vals)]

@@ -5,10 +5,13 @@ index 0 the additive identity.  Validation is eager and total: validate
 proves every law on load and marks the ring it returns as proved, so
 downstream code never revalidates.  The kernels prove each law on the
 additive generators, which proves it for every triple, and scan triples only
-to name the first failure of a table that is not a ring.  A direct product of
-two proved rings inherits the proof (gallery.direct_product).  validate on a
-FiniteRing always proves again; any other new FiniteRing, from the
-constructor, relabel or opposite, is unproved.
+to name the first failure of a table that is not a ring; validate proves
+each table's generators once (kernels.shared_proofs).  Two kinds of ring are
+proved without the kernels: a direct product of two proved rings
+(gallery.direct_product), and a class enumerate_rings builds from its own
+search (enumeration._orbit_classes).  validate on a FiniteRing always proves
+again; any other new FiniteRing, from the constructor, relabel or opposite,
+is unproved.
 """
 
 import itertools
@@ -204,12 +207,12 @@ class RingSpec:
     @staticmethod
     def load(path) -> "RingSpec":
         """Read a spec file.  Below _DECODE_MIN characters, or with text
-        other than ASCII, plain json decodes it; otherwise _TableDecoder."""
+        other than ASCII, plain json decodes it; otherwise _SpecDecoder."""
         try:
             with open(path) as fh:
                 text = fh.read()
             fast = len(text) >= _DECODE_MIN and text.isascii()
-            doc = json.loads(text, cls=_TableDecoder if fast else None)
+            doc = json.loads(text, cls=_SpecDecoder if fast else None)
         except OSError as exc:
             raise RingError(f"cannot read {path}: {exc.strerror}") from None
         except ValueError as exc:
@@ -281,7 +284,7 @@ def _scan_table(s: str, idx: int):
     return table, stop + 2
 
 
-class _TableDecoder(json.JSONDecoder):
+class _SpecDecoder(json.JSONDecoder):
     """Decodes the value of an "add" or "mul" key with _scan_table.  Any
     other array goes whole to json's C scanner, so it decodes, or fails with
     the same message, exactly as under json.loads."""
@@ -410,7 +413,7 @@ def validate(spec) -> FiniteRing:
                 f"outside 0..{n - 1}"
             )
 
-    with kernels.shared_keys():
+    with kernels.shared_proofs():
         for check, tables in ((kernels.add_table_check, (add,)),
                               (kernels.mul_assoc_check, (add, mul)),
                               (kernels.distrib_check, (add, mul))):
@@ -487,20 +490,6 @@ def _cyclic_steps(R: FiniteRing, b: int) -> list[int]:
     return out
 
 
-def additive_closure(R: FiniteRing, seed: Iterable[int]) -> ElementSet:
-    """Smallest additive subgroup containing the seed elements: every sum
-    of seed elements, reached breadth-first from 0."""
-    gens = np.array(ElementSet.of(seed, R.order).members, dtype=np.int64)
-    mask = np.zeros(R.order, dtype=bool)
-    mask[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        sums = np.unique(R.add[np.ix_(frontier, gens)])
-        frontier = sums[~mask[sums]]
-        mask[frontier] = True
-    return ElementSet(tuple(np.flatnonzero(mask).tolist()), R.order)
-
-
 MAX_SUBGROUPS = 100_000
 # The lattice handles its subgroups a block at a time, each subgroup a row of
 # a boolean member mask; BLOCK_CELLS bounds the cells of every temporary of
@@ -554,7 +543,7 @@ def additive_subgroups(R: FiniteRing) -> list[ElementSet]:
     TooLarge naming R.
     """
     try:
-        lattice = _subgroup_lattice(kernels._Table(R.add))
+        lattice = _subgroup_lattice(R.add.tobytes(), R.order)
         if len(lattice) <= MAX_SUBGROUPS:
             return list(lattice)
     except TooLarge:
@@ -563,9 +552,9 @@ def additive_subgroups(R: FiniteRing) -> list[ElementSet]:
 
 
 @lru_cache(maxsize=1)
-def _subgroup_lattice(table) -> tuple[ElementSet, ...]:
-    """The additive subgroups of the addition table `table` (a
-    kernels._Table), in the order additive_subgroups returns them.
+def _subgroup_lattice(table: bytes, n: int) -> tuple[ElementSet, ...]:
+    """The additive subgroups of the n x n int64 addition table whose bytes
+    are `table`, in the order additive_subgroups returns them.
 
     Built breadth-first from {0}: each subgroup S is extended to S + <x> for
     one x per coset x + S, since every element of a coset gives the same
@@ -573,8 +562,7 @@ def _subgroup_lattice(table) -> tuple[ElementSet, ...]:
     and deduplicated on packed mask bytes.  Past MAX_SUBGROUPS subgroups it
     stops with TooLarge, which the cache does not keep.
     """
-    A = table.ref()
-    n = A.shape[0]
+    A = np.frombuffer(table, dtype=np.int64).reshape(n, n)
     add16 = A.astype(np.int16)
     mult = _multiples(A)
     rows = max(1, BLOCK_CELLS // (n * n))

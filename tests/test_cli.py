@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ringcent import NotAssociative, enumerate_rings
 from ringcent.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -240,6 +241,31 @@ def test_enumerate_resume(tmp_path, capsys):
                         "--out", str(out_dir), "--resume")
     assert code == 0
     assert "4 isomorphism classes" in out
+
+
+# Aut(Z_2 x Z_2)-orbits of rows (g1 g1, g1 g2, g2 g1, g2 g2), each of 6 rows
+ASSOCIATIVE_ORBIT = [[0, 0, 0, 1], [0, 0, 0, 3], [1, 1, 1, 1],
+                     [2, 0, 0, 0], [2, 2, 2, 2], [3, 0, 0, 0]]
+NONASSOCIATIVE_ORBIT = [[0, 0, 1, 0], [0, 0, 3, 3], [0, 2, 0, 0],
+                        [0, 2, 0, 2], [1, 0, 1, 0], [3, 3, 0, 0]]
+
+
+def test_enumerate_resume_validates_the_rows_of_part_files(tmp_path, capsys):
+    # a part file is input: an associative orbit swapped for a non-associative
+    # one of the same size passes the orbit guard, and validate rejects it
+    out_dir = tmp_path / "cat4"
+    run_cli(capsys, "enumerate", "--order", "4", "--out", str(out_dir))
+    part = out_dir / "parts" / "t2x2.json"
+    doc = json.loads(part.read_text())
+    rows = doc["assignments"]
+    for old, new in zip(ASSOCIATIVE_ORBIT, NONASSOCIATIVE_ORBIT):
+        rows[rows.index(old)] = new
+    part.write_text(json.dumps(doc))
+    with pytest.raises(NotAssociative):
+        enumerate_rings(4, out_dir=str(out_dir), resume=True)
+    code = main(["enumerate", "--order", "4", "--out", str(out_dir), "--resume"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: NotAssociative: ")
 
 
 def test_enumerate_resume_without_out_is_a_usage_error(capsys):

@@ -675,3 +675,29 @@ def test_orbit_classes_do_not_pin_their_transport_stacks():
     assert len(classes) == 28
     for table in classes:
         assert table.base is None or table.base.nbytes <= table.nbytes
+
+
+# --- the classes of a search keep its proof -----------------------------------
+
+
+def test_validate_accepts_every_catalog_class_unchanged(catalog):
+    # the oracle for the proof enumerate_rings carries over from the search
+    for n in range(1, 14):
+        for ring in catalog(n):
+            again = validate(ring)
+            assert ring.proved and again.proved
+            assert np.array_equal(again.add, ring.add)
+            assert np.array_equal(again.mul, ring.mul)
+
+
+def test_searched_classes_run_no_law_kernel(monkeypatch):
+    from ringcent import kernels
+
+    def law_check(*tables):
+        raise AssertionError("a law kernel ran on a class of the search")
+
+    for name in ("add_table_check", "mul_assoc_check", "distrib_check"):
+        monkeypatch.setattr(kernels, name, law_check)
+    cat = enumerate_rings(8)
+    assert cat.class_count == 52
+    assert all(ring.proved for ring in cat)

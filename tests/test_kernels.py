@@ -275,7 +275,7 @@ def test_distrib_first_failure_triple_matches():
 
 
 # ---------------------------------------------------------------------------
-# the left law proved on generator rows, and the proofs' cache keys
+# the left law proved on generator rows, and the proofs' memo in validate
 
 
 def _s3_case():
@@ -365,38 +365,32 @@ def test_a_table_changed_in_place_is_proved_again():
     assert kernels.distrib_check(A, M) == naive_distrib(A.tolist(), M.tolist())
 
 
-class _Counted(np.ndarray):
-    """An array that counts its entry-by-entry comparisons."""
-    compares = 0
-
-    def __eq__(self, other):
-        type(self).compares += 1
-        return super().__eq__(other)
-
-
-def test_keys_of_one_live_table_are_equal_without_comparing_it(monkeypatch):
-    monkeypatch.setattr(_Counted, "compares", 0)
-    T = modular_ring(5).add.view(_Counted)
-    assert kernels._Table(T) == kernels._Table(T)
-    assert _Counted.compares == 0
-    assert kernels._Table(T) == kernels._Table(T.copy())
-    assert _Counted.compares == 1
-
-
-def test_one_validate_keys_each_table_once(monkeypatch):
+def test_one_validate_proves_each_table_once_and_keeps_no_memo(monkeypatch):
     R = quaternion_ring(3)
-    keyed = []
-    init = kernels._Table.__init__
+    found, proofs = [], []
+    generators, distributes = kernels._generators, kernels._distributes
 
-    def counted(self, T):
-        keyed.append(T)
-        init(self, T)
+    def counted_generators(A):
+        found.append(A)
+        return generators(A)
 
-    monkeypatch.setattr(kernels._Table, "__init__", counted)
+    def counted_distributes(A, M):
+        proofs.append((A, M))
+        return distributes(A, M)
+
+    monkeypatch.setattr(kernels, "_generators", counted_generators)
+    monkeypatch.setattr(kernels, "_distributes", counted_distributes)
     rings.validate(R)
-    assert len(keyed) == 2 and keyed[0] is R.add and keyed[1] is R.mul
-    kernels.distrib_check(R.add, R.mul)  # alone, a kernel keys its tables
-    assert len(keyed) == 4
+    assert len(found) == 1 and found[0] is R.add
+    assert len(proofs) == 1 and proofs[0][0] is R.add and proofs[0][1] is R.mul
+    assert kernels._proofs is None  # nothing outlives validate
+    kernels.distrib_check(R.add, R.mul)  # alone, a kernel proves afresh
+    assert (len(found), len(proofs)) == (2, 2)
+    M = R.mul.copy()
+    M[2, 3] = 1
+    with pytest.raises(rings.ValidationError):
+        rings.validate(rings.FiniteRing(R.add, M))
+    assert kernels._proofs is None  # nor a validate that raises
 
 
 # ---------------------------------------------------------------------------

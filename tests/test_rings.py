@@ -27,9 +27,7 @@ from ringcent import (
 from ringcent import groups, rings
 from ringcent.gallery import direct_product, modular_ring, row_ring
 from ringcent.rings import (
-    additive_closure,
     additive_subgroups,
-    is_additive_subgroup,
     load_ring,
     subrings,
 )
@@ -429,13 +427,6 @@ def test_the_ceiling_stops_a_lattice_of_order_256_within_its_level(monkeypatch):
     with pytest.raises(TooLarge, match="more than 3000 additive subgroups"):
         additive_subgroups(_zero_ring((2,) * 8))
     assert 1 < len(blocks) and sum(blocks) < 1 + 255
-
-
-def test_additive_closure():
-    R = modular_ring(8)
-    assert additive_closure(R, [2]).members == (0, 2, 4, 6)
-    assert additive_closure(R, [4, 6]).members == (0, 2, 4, 6)
-    assert is_additive_subgroup(R, additive_closure(R, [3]))
 
 
 # --- relabeling is an isomorphism (property test) ------------------------------
