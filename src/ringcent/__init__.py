@@ -4,8 +4,6 @@ of small finite rings represented as Cayley tables."""
 from .abelian import (
     AbelianGroupType,
     classify_additive,
-    is_cyclic,
-    is_elementary_p_squared,
     quotient_type,
 )
 from .centralizers import (
@@ -44,10 +42,8 @@ from .rings import (
     ElementSet,
     FiniteRing,
     RingSpec,
-    index,
     is_subring,
     load_ring,
-    set_sum,
     validate,
 )
 from .suites import SUITES, SuiteResult, run_all, run_suite
@@ -59,9 +55,8 @@ __all__ = [
     "IsoClassCatalog", "RingSpec", "SuiteResult", "SUITES",
     "analyze", "canonical_form", "cent_set", "center", "centralizer",
     "classify_additive", "commutativity_degree", "enumerate_rings",
-    "index", "is_cyclic", "is_elementary_p_squared", "is_subring",
-    "isomorphic", "load_ring", "quotient_type", "run_all", "run_suite",
-    "search_n_centralizer", "set_sum", "validate",
+    "is_subring", "isomorphic", "load_ring", "quotient_type", "run_all",
+    "run_suite", "search_n_centralizer", "validate",
     "RingError", "ValidationError", "BadIdentityConvention",
     "NonAbelianAddition", "NoAdditiveInverse", "NotAssociative",
     "NotDistributive", "IndexOutOfRange", "NotAdditiveSubgroup",

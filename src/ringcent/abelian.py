@@ -11,8 +11,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import NotAdditiveSubgroup, NotPrime
-from .groups import invariant_factors, is_prime, prime_factorization
+from .errors import NotAdditiveSubgroup
+from .groups import invariant_factors, prime_factorization
 from .rings import ElementSet, FiniteRing, additive_orders, is_additive_subgroup
 
 
@@ -42,17 +42,6 @@ class AbelianGroupType:
 
     def to_json(self) -> list[int]:
         return list(self.invariant_factors)
-
-
-def is_cyclic(t: AbelianGroupType) -> bool:
-    return len(t.invariant_factors) <= 1
-
-
-def is_elementary_p_squared(t: AbelianGroupType, p: int) -> bool:
-    """True iff t is Z_p x Z_p."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    return t.invariant_factors == (p, p)
 
 
 def _classify_orders(orders: np.ndarray) -> AbelianGroupType:

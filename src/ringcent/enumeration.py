@@ -28,13 +28,12 @@ from .errors import PartialUniverse, RingError, TooLarge
 from .rings import (
     FiniteRing,
     RingSpec,
-    _cyclic_steps,
+    _multiples,
     structure_tables,
     validate,
 )
 
 MAX_ENUM_ORDER = 16
-MAX_CANON_ORDER = 16
 
 SCHEMA = 2  # of manifest.json: one journal record per group type
 
@@ -89,10 +88,11 @@ def coordinates(R: FiniteRing) -> tuple[tuple[int, ...], np.ndarray]:
     """
     factors = classify_additive(R).invariant_factors
     orders = R.additive_orders()
+    mult = _multiples(R.add)
     coords = np.zeros(1, dtype=np.int64)
     for d in factors[::-1]:
         for b in np.flatnonzero(orders == d):
-            steps = np.array(_cyclic_steps(R, int(b)), dtype=np.int64)
+            steps = mult[b, :d]
             grown = R.add[steps[:, None], coords[None, :]].reshape(-1)
             if np.unique(grown).size == grown.size:
                 coords = grown
@@ -143,16 +143,15 @@ def isomorphic(R1: FiniteRing, R2: FiniteRing, witness: bool = False):
          if orders2[y] == factors[i] and fp2[y] == fp1[basis[i]]]
         for i in range(k)
     ]
-    cyc1 = [_cyclic_steps(R1, b) for b in basis]
+    cyc1 = _multiples(R1.add)[basis].tolist()
+    mult2 = _multiples(R2.add)
 
     images: list[int] = []
     phi_partial: dict[int, int] = {0: 0}
     image_set: set[int] = {0}
 
     def place(i: int, f: int) -> Optional[dict]:
-        steps2 = _cyclic_steps(R2, f)
-        if len(steps2) != factors[i]:
-            return None
+        steps2 = mult2[f].tolist()
         added: dict[int, int] = {}
         for m in range(1, factors[i]):
             b_m, f_m = cyc1[i][m], steps2[m]
@@ -225,7 +224,7 @@ def _min_group_table(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     relabeling for orders <= 8 (tests/test_min_group_golden.py), and against
     the symmetry-pruned branch and bound this replaced, whose table and sigma
     the golden records for every type of order <= 16 (all of
-    MAX_CANON_ORDER) and for (17,), (18,), (3, 6), (19,), (21,), (23,),
+    MAX_ENUM_ORDER) and for (17,), (18,), (3, 6), (19,), (21,), (23,),
     (25,), (5, 5) and (3, 3, 3).  Beyond those it is unproved.
     """
     T = groups.group_add_table(factors)
@@ -305,8 +304,8 @@ def canonical_form(R: FiniteRing) -> FiniteRing:
     automorphism, so their transport stacks hold the same tables.  That
     _min_group_table is lex-min is checked for the pinned types, not relied
     on."""
-    if R.order > MAX_CANON_ORDER:
-        raise TooLarge(f"canonical_form supports order <= {MAX_CANON_ORDER}")
+    if R.order > MAX_ENUM_ORDER:
+        raise TooLarge(f"canonical_form supports order <= {MAX_ENUM_ORDER}")
     factors, coords = coordinates(R)
     std = R.relabel(coords)
     return FiniteRing(_min_group_table(factors)[0],

@@ -30,7 +30,7 @@ NONDISTRIBUTIVE_RIGHT = 7
 _PASS = (OK, -1, -1, -1)
 _CHUNK_ROWS = 32          # slab height for vectorized triple checks
 _SLAB_CELLS = 1 << 16     # table entries per generator slab; cache-sized
-_BFS_CHUNK = 1 << 14      # partial assignments per slab in the search
+_SLAB_COLUMNS = 1 << 14   # partial assignments per slab in the search
 _proofs = None            # (proof, table ids) -> result in shared_proofs()
 
 
@@ -255,8 +255,8 @@ def distrib_check(A, M):
 # coefficient for the constraint to be checkable.
 #
 # Layout: the walk keeps a stack of (level, slab) pairs, a slab being at most
-# _BFS_CHUNK partial assignments of one level, column-major: one int16 row per
-# filled cell and one column per assignment.  It pops the slab pushed last,
+# _SLAB_COLUMNS partial assignments of one level, column-major: one int16 row
+# per filled cell and one column per assignment.  It pops the slab pushed last,
 # expands it into the next level and pushes the survivors back in slabs, the
 # first on top, so the stack holds one path of slabs at a time and not a whole
 # level.  A popped slab is cast once to intp, the type the lookup tables hold
@@ -418,7 +418,7 @@ def structure_search(factors, allowed, deadline=None):
     products per cell.
     Returns (assignments, status, nodes) with the rows in lexicographic
     order.  `deadline` is a `time.monotonic()` value checked before every
-    slab of at most _BFS_CHUNK parent partial assignments and before every
+    slab of at most _SLAB_COLUMNS parent partial assignments and before every
     constraint evaluated on a slab, forcing or checking, so a run overshoots
     it by at most one constraint evaluation; once it has passed the search
     stops with status -1 and no rows.  `nodes` counts the children built,
@@ -483,8 +483,8 @@ def structure_search(factors, allowed, deadline=None):
                 dead = np.zeros(cols.shape[1], dtype=bool)
         kept = cols.compress(~dead, axis=1).astype(np.int16)
         # the first slab goes on top, so children are walked in order
-        stack.extend((p + 1, kept[:, lo:lo + _BFS_CHUNK]) for lo in
-                     reversed(range(0, kept.shape[1], _BFS_CHUNK)))
+        stack.extend((p + 1, kept[:, lo:lo + _SLAB_COLUMNS]) for lo in
+                     reversed(range(0, kept.shape[1], _SLAB_COLUMNS)))
     cols = np.concatenate(leaves, axis=1)[plan.pos]  # cells in row-major order
     if kk:  # lexsort needs a key; the trivial group has its one empty row
         cols = cols[:, np.lexsort(cols[::-1])]

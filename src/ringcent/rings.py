@@ -30,7 +30,6 @@ from .errors import (
     IndexOutOfRange,
     NoAdditiveInverse,
     NonAbelianAddition,
-    NotAdditiveSubgroup,
     NotAssociative,
     NotDistributive,
     RingError,
@@ -443,16 +442,6 @@ def _require_same_ring(R: FiniteRing, S: ElementSet) -> None:
         )
 
 
-def set_sum(R: FiniteRing, A: ElementSet, B: ElementSet) -> ElementSet:
-    """A + B = all pairwise sums, as a canonical set."""
-    _require_same_ring(R, A)
-    _require_same_ring(R, B)
-    if not A.members or not B.members:
-        return ElementSet.of((), R.order)
-    sums = R.add[np.ix_(A.members, B.members)]
-    return ElementSet.of(np.unique(sums), R.order)
-
-
 def _closed(table: np.ndarray, S: ElementSet) -> bool:
     """True iff table[x, y] lies in S for all x, y in S."""
     mask = np.zeros(table.shape[0], dtype=bool)
@@ -468,26 +457,9 @@ def is_additive_subgroup(R: FiniteRing, S: ElementSet) -> bool:
     return 0 in S.members and _closed(R.add, S)
 
 
-def index(R: FiniteRing, S: ElementSet) -> int:
-    """Additive index |R : S| = |R| / |S| for an additive subgroup S."""
-    if not is_additive_subgroup(R, S):
-        raise NotAdditiveSubgroup(f"{S.members} is not an additive subgroup")
-    return R.order // len(S)
-
-
 def is_subring(R: FiniteRing, S: ElementSet) -> bool:
     """True iff S is an additive subgroup closed under multiplication."""
     return is_additive_subgroup(R, S) and _closed(R.mul, S)
-
-
-def _cyclic_steps(R: FiniteRing, b: int) -> list[int]:
-    """[0, b, 2b, ...] until the cycle closes."""
-    out = [0]
-    x = b
-    while x != 0:
-        out.append(x)
-        x = int(R.add[x, b])
-    return out
 
 
 MAX_SUBGROUPS = 100_000

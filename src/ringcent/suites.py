@@ -15,8 +15,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-import numpy as np
-
 from . import gallery
 from .centralizers import CentReport, analyze, cent_set
 from .enumeration import catalog_rings, read_catalog
@@ -400,21 +398,12 @@ def detect_mutation(doc: dict) -> str:
 
     Returns "validation" when the tables no longer form a ring, else the id
     of the first suite that reports a violation on it, else "undetected".
-    The tables are force-loaded without law checks for the suite pass, since
-    a corrupted table usually is not a ring at all.
     """
     try:
-        validate(doc)
+        R = validate(doc)
     except ValidationError:
         return "validation"
-    forced = FiniteRing(
-        np.asarray(doc["add"]), np.asarray(doc["mul"]), doc.get("label")
-    )
     for sid in sorted(SUITES):
-        try:
-            result = run_suite(sid, [forced], "mutation")
-        except ValidationError:
-            return sid  # the suite tripped over the corruption while building
-        if not result.passed:
+        if not run_suite(sid, [R], "mutation").passed:
             return sid
     return "undetected"

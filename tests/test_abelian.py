@@ -10,10 +10,7 @@ from ringcent import (
     ElementSet,
     FiniteRing,
     NotAdditiveSubgroup,
-    NotPrime,
     classify_additive,
-    is_cyclic,
-    is_elementary_p_squared,
     quotient_type,
 )
 from ringcent.centralizers import center
@@ -131,24 +128,11 @@ def test_quotient_order_times_subgroup_size(small_universe):
             assert q.order * len(S) == R.order
 
 
-def test_is_cyclic():
-    assert is_cyclic(AbelianGroupType(()))
-    assert is_cyclic(AbelianGroupType((6,)))
-    assert not is_cyclic(AbelianGroupType((2, 2)))
-
-
-def test_is_elementary_p_squared():
-    assert is_elementary_p_squared(AbelianGroupType((2, 2)), 2)
-    assert not is_elementary_p_squared(AbelianGroupType((4,)), 2)
-    assert not is_elementary_p_squared(AbelianGroupType((3, 3)), 2)
-    with pytest.raises(NotPrime):
-        is_elementary_p_squared(AbelianGroupType((4, 4)), 4)
-
-
 def test_noncommutative_quotient_never_cyclic(small_universe):
     for R in small_universe:
         if not R.is_commutative:
-            assert not is_cyclic(quotient_type(R, center(R))), R.label
+            q = quotient_type(R, center(R))
+            assert len(q.invariant_factors) >= 2, R.label
 
 
 def test_render():

@@ -502,7 +502,7 @@ def test_structure_search_rows_pinned_across_slabs(monkeypatch, chunk, factors,
     # slabs of `chunk` parents split every level wider than that (the widest
     # here holds thousands of rows); where the splits fall changes neither
     # the rows, nor their order, nor the node count
-    monkeypatch.setattr(kernels, "_BFS_CHUNK", chunk)
+    monkeypatch.setattr(kernels, "_SLAB_COLUMNS", chunk)
     rows, status, got = kernels.structure_search(factors, _search_inputs(factors))
     blob = rows.astype(np.int64).tobytes()
     assert (rows.shape, status, got) == (shape, 0, nodes)
@@ -516,7 +516,7 @@ def test_structure_search_matches_brute_force_across_slabs(monkeypatch, chunk):
     rng = np.random.default_rng(7)
     torsion = _search_inputs((3, 9))
     allowed = torsion & (rng.random(torsion.shape) < 0.9)
-    monkeypatch.setattr(kernels, "_BFS_CHUNK", chunk)
+    monkeypatch.setattr(kernels, "_SLAB_COLUMNS", chunk)
     rows, status, _ = kernels.structure_search((3, 9), allowed)
     assert status == 0
     assert np.array_equal(rows, brute_force_structures((3, 9), allowed))

@@ -14,8 +14,8 @@ from ringcent import (
     ValidationError,
     centralizers,
 )
-from ringcent.gallery import default_gallery, row_ring
-from ringcent.rings import FiniteRing
+from ringcent.gallery import default_gallery, modular_ring, row_ring
+from ringcent.rings import FiniteRing, validate
 from ringcent.suites import (
     SUITES,
     detect_mutation,
@@ -156,6 +156,26 @@ def test_every_possible_mutation_detected_exhaustively():
                 if v == int(R.mul[i, j]):
                     continue
                 assert detect_mutation(mutate_entry(R, i, j, v)) != "undetected"
+
+
+def test_a_mutant_that_is_still_a_ring_runs_every_suite(monkeypatch):
+    # mul[1][1] = 0 turns Z_2 into the zero ring on Z_2: it validates, and
+    # every suite holds on it, so all 17 run on the validated ring
+    from ringcent import suites
+
+    doc = mutate_entry(modular_ring(2), 1, 1, 0)
+    assert validate(doc).mul.tolist() == [[0, 0], [0, 0]]
+    ran = []
+
+    def counted(sid, universe, name):
+        ran.append(sid)
+        assert [R.proved for R in universe] == [True]
+        return run_suite(sid, universe, name)
+
+    monkeypatch.setattr(suites, "run_suite", counted)
+    assert detect_mutation(doc) == "undetected"
+    assert ran == sorted(SUITES)
+    assert len(ran) == 17
 
 
 def test_suites_not_vacuous_when_validation_bypassed():
