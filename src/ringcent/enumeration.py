@@ -23,7 +23,7 @@ import numpy as np
 
 from . import groups, kernels
 from .abelian import classify_additive
-from .centralizers import analyze, cent_set
+from .centralizers import cent_set
 from .errors import PartialUniverse, RingError, TooLarge
 from .rings import (
     FiniteRing,
@@ -42,7 +42,7 @@ DEFAULT_TIME_BUDGET_SECS = 120.0
 
 
 # ---------------------------------------------------------------------------
-# element fingerprints and additive coordinates
+# element fingerprints and additive coordinates, read off the tables alone
 
 
 def element_fingerprints(R: FiniteRing) -> list[tuple[int, int, int]]:
@@ -55,22 +55,6 @@ def element_fingerprints(R: FiniteRing) -> list[tuple[int, int, int]]:
         (int(orders[x]), int(csize[x]), int(orders[squares[x]]))
         for x in range(R.order)
     ]
-
-
-def ring_fingerprint(R: FiniteRing) -> tuple:
-    """Cheap ring-level isomorphism invariant; isomorphic() compares these
-    before it searches for a map."""
-    report = analyze(R)
-    cs = report.centralizers
-    return (
-        R.order,
-        report.additive_type.invariant_factors,
-        bool(R.is_commutative),
-        len(cs),
-        tuple(sorted(len(c) for c in cs)),
-        report.degree,
-        tuple(sorted(element_fingerprints(R))),
-    )
 
 
 def coordinates(R: FiniteRing) -> tuple[tuple[int, ...], np.ndarray]:
@@ -116,26 +100,27 @@ def _inverse(perm: np.ndarray) -> np.ndarray:
 def isomorphic(R1: FiniteRing, R2: FiniteRing, witness: bool = False):
     """Ring isomorphism test: additive isomorphism preserving multiplication.
 
-    Backtracks over images of the additive basis of R1 that coordinates
-    gives, coords[radix_weights(factors)], pruned by element
-    fingerprints, by direct-sum feasibility of the image span, and by partial
-    multiplicative consistency.  With witness=True returns the mapping array
-    (or None) instead of a bool.
+    Reads the two tables only.  Rings whose sorted element fingerprints
+    differ are not isomorphic; otherwise it backtracks over images of R1's
+    additive basis coords[radix_weights(factors)] (see coordinates), pruned
+    by element fingerprints, by direct-sum feasibility of the image span,
+    and by partial multiplicative consistency, and a full-table check
+    decides.  With witness=True returns the mapping array (or None) instead.
     """
     def result(phi):
         return phi if witness else phi is not None
 
     if R1.order != R2.order:
         return result(None)
-    if ring_fingerprint(R1) != ring_fingerprint(R2):
+    fp1 = element_fingerprints(R1)
+    fp2 = element_fingerprints(R2)
+    if sorted(fp1) != sorted(fp2):
         return result(None)
     n = R1.order
     if n == 1:
         return result(np.zeros(1, dtype=np.int64))
     factors, coords = coordinates(R1)
     basis = coords[list(groups.radix_weights(factors))].tolist()
-    fp1 = element_fingerprints(R1)
-    fp2 = element_fingerprints(R2)
     orders2 = R2.additive_orders()
     k = len(basis)
     cands = [

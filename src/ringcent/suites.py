@@ -233,7 +233,7 @@ def _machale_bound(n: int) -> Fraction:
 
 
 def _noncommutative(rep: CentReport) -> bool:
-    return not rep.is_commutative and rep.order >= 2
+    return not rep.is_commutative
 
 
 @_each_ring(_noncommutative)
@@ -262,7 +262,7 @@ def _suite_d_rc(rep):
 @_each_ring(_noncommutative_p_ring)
 def _suite_d_conv(rep):
     p = _is_prime_power(rep.order)
-    expected = Fraction(p * p + p - 1, p**3)
+    expected = _machale_bound(rep.order)
     if rep.cent_count == p + 2 and rep.degree != expected:
         yield f"|Cent(R)| = {p + 2} implies d(R) = {expected}", str(rep.degree)
 
@@ -276,7 +276,7 @@ def _suite_l1_intersection(rep):
         yield "Z(R) = intersection of all centralizers", str(sorted(inter))
 
 
-@_each_ring(lambda rep: not rep.is_commutative)
+@_each_ring(_noncommutative)
 def _suite_l2_union(rep):
     # C(r) is proper exactly when r is not central
     union = set().union(*(c.members for c in _proper_centralizers(rep)))
