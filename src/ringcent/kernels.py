@@ -232,8 +232,13 @@ def distrib_check(A, M):
 #
 # Cells are filled constraint first (fail first; Haralick & Elliott, 1980):
 # the cells with one admissible value, then the row and column of the last
-# generator, then those of the one before it, and so on, row-major within
-# each group.  One lexsort restores row-major lexicographic order at the end.
+# generator, then those of the one before it, and so on, each generator's
+# square g_k g_k first and the rest row-major within each group.  The square
+# goes first because it is the product x or y of every constraint (k,k,c) and
+# (a,k,k) and its support names their other inputs, so the rest of its row
+# and column meet those constraints, as checks or forcing, as they are filled
+# (Z_2^4 takes 36.6M nodes this way, 365M with the square last).  One lexsort
+# restores row-major lexicographic order at the end.
 #
 # Forward checking into a value mask (same source): a constraint in which
 # the new cell z = g_i g_j appears only as a term reads s z = r, where
@@ -440,7 +445,8 @@ def structure_search(factors, allowed, deadline=None):
     allowed = np.asarray(allowed).astype(bool)
     counts = allowed.sum(axis=1)
     order = tuple(sorted(range(kk), key=lambda t: (
-        counts[t] > 1, -max(divmod(t, k)), t)))
+        counts[t] > 1, -max(divmod(t, k)), t != (k + 1) * max(divmod(t, k)),
+        t)))
     plan = _Plan(factors, order)
     vals = [np.flatnonzero(allowed[t]) for t in order]
     tables = [plan.solutions(v) if plan.forcing[p] else None

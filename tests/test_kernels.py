@@ -437,13 +437,14 @@ def test_structure_search_matches_brute_force_on_subsets_of_the_torsion():
             rows, brute_force_structures(factors, allowed)), factors
 
 
-@pytest.mark.parametrize("cell, forcing", [(0, True), (2, False)],
+@pytest.mark.parametrize("cell, forcing", [(0, True), (8, False)],
                          ids=["forcing-level", "plain-level"])
 def test_structure_search_with_a_cell_admitting_nothing(monkeypatch, cell,
                                                         forcing):
     # every other cell admits only 0, so each level keeps the zero product
     # and cell 0 comes last, at a level with forcing constraints, while
-    # cell 2 comes first, at a level without; either way no row survives
+    # cell 8, the square g_3 g_3, comes first, at a level without; either
+    # way no row survives
     sizes = []
     solutions = kernels._Plan.solutions
 
@@ -465,14 +466,14 @@ def test_structure_search_counts_on_z2_cubed():
     rows, status, nodes = kernels.structure_search(
         (2, 2, 2), allowed, deadline=time.monotonic() + 3600
     )
-    assert (rows.shape, status, nodes) == ((1688, 9), 0, 22540)
+    assert (rows.shape, status, nodes) == ((1688, 9), 0, 17302)
 
 
 @pytest.mark.parametrize("factors, shape, nodes, digest", [
     ((16,), (16, 1), 16, "f23d672bb9b341f9"),
-    ((2, 8), (120, 4), 340, "4a83b21ff251e1cd"),
-    ((4, 4), (616, 4), 2304, "432ddb630ab35fd4"),
-    ((2, 2, 4), (4864, 9), 51284, "4f5a00b13a292b97"),
+    ((2, 8), (120, 4), 352, "4a83b21ff251e1cd"),
+    ((4, 4), (616, 4), 2208, "432ddb630ab35fd4"),
+    ((2, 2, 4), (4864, 9), 40080, "4f5a00b13a292b97"),
 ], ids=["16", "2x8", "4x4", "2x2x4"])
 def test_structure_search_rows_pinned_on_order_16(factors, shape, nodes, digest):
     # rows and their order as the search has always given them, and the
@@ -482,6 +483,18 @@ def test_structure_search_rows_pinned_on_order_16(factors, shape, nodes, digest)
     blob = rows.astype(np.int64).tobytes()
     assert (rows.shape, status, got) == (shape, 0, nodes)
     assert hashlib.sha256(blob).hexdigest()[:16] == digest
+
+
+def test_structure_search_rows_pinned_on_z3_cubed():
+    # filling each generator's square before the rest of its row and column
+    # takes 1,410,049 nodes here; without that tie-break the same rows take
+    # 5,178,077
+    factors = (3, 3, 3)
+    rows, status, nodes = kernels.structure_search(factors,
+                                                   _search_inputs(factors))
+    blob = rows.astype(np.int64).tobytes()
+    assert (rows.shape, status, nodes) == ((40873, 9), 0, 1410049)
+    assert hashlib.sha256(blob).hexdigest()[:16] == "4a70b77198b42441"
 
 
 def test_structure_search_stops_at_past_deadline():
@@ -494,8 +507,8 @@ def test_structure_search_stops_at_past_deadline():
 
 @pytest.mark.parametrize("chunk", [1, 7, 500])
 @pytest.mark.parametrize("factors, shape, nodes, digest", [
-    ((2, 2, 2), (1688, 9), 22540, "77da948d08eb79e3"),
-    ((2, 2, 4), (4864, 9), 51284, "4f5a00b13a292b97"),
+    ((2, 2, 2), (1688, 9), 17302, "77da948d08eb79e3"),
+    ((2, 2, 4), (4864, 9), 40080, "4f5a00b13a292b97"),
 ], ids=["2x2x2", "2x2x4"])
 def test_structure_search_rows_pinned_across_slabs(monkeypatch, chunk, factors,
                                                    shape, nodes, digest):
@@ -556,7 +569,7 @@ def test_structure_search_stops_at_deadline_passing_mid_search(monkeypatch, wher
                         lambda: 1.0 if next(calls) >= stop else 0.0)
     rows, status, nodes = kernels.structure_search(factors, allowed, deadline=1.0)
     assert (rows.shape, status) == ((0, 9), -1)
-    assert 0 < nodes < 22540
+    assert 0 < nodes < 17302
     assert next(calls) == stop + 1  # no poll after the one that passed
 
 
