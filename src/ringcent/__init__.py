@@ -18,8 +18,6 @@ from .enumeration import (
     IsoClassCatalog,
     canonical_form,
     enumerate_rings,
-    isomorphic,
-    search_n_centralizer,
 )
 from .errors import (
     BadIdentityConvention,
@@ -55,8 +53,8 @@ __all__ = [
     "IsoClassCatalog", "RingSpec", "SuiteResult", "SUITES",
     "analyze", "canonical_form", "cent_set", "center", "centralizer",
     "classify_additive", "commutativity_degree", "enumerate_rings",
-    "is_subring", "isomorphic", "load_ring", "quotient_type", "run_all",
-    "run_suite", "search_n_centralizer", "validate",
+    "is_subring", "load_ring", "quotient_type", "run_all", "run_suite",
+    "validate",
     "RingError", "ValidationError", "BadIdentityConvention",
     "NonAbelianAddition", "NoAdditiveInverse", "NotAssociative",
     "NotDistributive", "IndexOutOfRange", "NotAdditiveSubgroup",

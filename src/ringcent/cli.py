@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import gallery
 from .centralizers import analyze
-from .enumeration import enumerate_rings, search_n_centralizer
+from .enumeration import enumerate_rings
 from .errors import RingError
 from .rings import FiniteRing
 from .suites import SUITES, load_universe, run_all
@@ -74,7 +74,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    hits = search_n_centralizer(args.cent, args.max_order)
+    rings, _ = load_universe(f"catalog:{args.max_order}")
+    hits = [ring for ring in rings if analyze(ring).cent_count == args.cent]
     if not hits:
         print(f"no ring of order <= {args.max_order} has exactly "
               f"{args.cent} centralizers")
@@ -102,7 +103,9 @@ def _cmd_verify(args) -> int:
             dump_dir = Path(args.dump_dir)
             dump_dir.mkdir(parents=True, exist_ok=True)
             for viol in res.violations:
-                path = dump_dir / f"{res.suite_id}_{viol.ring_label}.json"
+                # a label is file input: keep its dump inside dump_dir
+                label = viol.ring_label.translate({ord(c): "_" for c in "/\\\0"})
+                path = dump_dir / f"{res.suite_id}_{label}.json"
                 with open(path, "w") as fh:
                     json.dump(viol.spec, fh, indent=1, sort_keys=True)
     if args.json:

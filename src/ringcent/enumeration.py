@@ -23,7 +23,9 @@ import numpy as np
 
 from . import groups, kernels
 from .abelian import classify_additive
-from .centralizers import cent_set
+# unused here; perfbench/test_perfbench.py checks that its tracer restores
+# enumeration.cent_set (ROADMAP item 7 drops both)
+from .centralizers import cent_set  # noqa: F401
 from .errors import PartialUniverse, RingError, TooLarge
 from .rings import (
     FiniteRing,
@@ -42,19 +44,7 @@ DEFAULT_TIME_BUDGET_SECS = 120.0
 
 
 # ---------------------------------------------------------------------------
-# element fingerprints and additive coordinates, read off the tables alone
-
-
-def element_fingerprints(R: FiniteRing) -> list[tuple[int, int, int]]:
-    """Per-element isomorphism invariant: additive order, centralizer size,
-    additive order of the square."""
-    orders = R.additive_orders()
-    csize = (R.mul == R.mul.T).sum(axis=1)
-    squares = R.mul[np.arange(R.order), np.arange(R.order)]
-    return [
-        (int(orders[x]), int(csize[x]), int(orders[squares[x]]))
-        for x in range(R.order)
-    ]
+# additive coordinates, read off the tables alone
 
 
 def coordinates(R: FiniteRing) -> tuple[tuple[int, ...], np.ndarray]:
@@ -91,99 +81,6 @@ def _inverse(perm: np.ndarray) -> np.ndarray:
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.shape[0])
     return inv
-
-
-# ---------------------------------------------------------------------------
-# ring isomorphism
-
-
-def isomorphic(R1: FiniteRing, R2: FiniteRing, witness: bool = False):
-    """Ring isomorphism test: additive isomorphism preserving multiplication.
-
-    Reads the two tables only.  Rings whose sorted element fingerprints
-    differ are not isomorphic; otherwise it backtracks over images of R1's
-    additive basis coords[radix_weights(factors)] (see coordinates), pruned
-    by element fingerprints, by direct-sum feasibility of the image span,
-    and by partial multiplicative consistency, and a full-table check
-    decides.  With witness=True returns the mapping array (or None) instead.
-    """
-    def result(phi):
-        return phi if witness else phi is not None
-
-    if R1.order != R2.order:
-        return result(None)
-    fp1 = element_fingerprints(R1)
-    fp2 = element_fingerprints(R2)
-    if sorted(fp1) != sorted(fp2):
-        return result(None)
-    n = R1.order
-    if n == 1:
-        return result(np.zeros(1, dtype=np.int64))
-    factors, coords = coordinates(R1)
-    basis = coords[list(groups.radix_weights(factors))].tolist()
-    orders2 = R2.additive_orders()
-    k = len(basis)
-    cands = [
-        [y for y in range(1, n)
-         if orders2[y] == factors[i] and fp2[y] == fp1[basis[i]]]
-        for i in range(k)
-    ]
-    cyc1 = _multiples(R1.add)[basis].tolist()
-    mult2 = _multiples(R2.add)
-
-    images: list[int] = []
-    phi_partial: dict[int, int] = {0: 0}
-    image_set: set[int] = {0}
-
-    def place(i: int, f: int) -> Optional[dict]:
-        steps2 = mult2[f].tolist()
-        added: dict[int, int] = {}
-        for m in range(1, factors[i]):
-            b_m, f_m = cyc1[i][m], steps2[m]
-            for s, im in phi_partial.items():
-                dst = int(R2.add[im, f_m])
-                if dst in image_set or dst in added.values():
-                    return None  # image span is not a direct extension
-                added[int(R1.add[s, b_m])] = dst
-        return added
-
-    def consistent(i: int) -> bool:
-        for a in range(i + 1):
-            for b in range(i + 1):
-                p1 = int(R1.mul[basis[a], basis[b]])
-                if p1 in phi_partial:
-                    if phi_partial[p1] != int(R2.mul[images[a], images[b]]):
-                        return False
-        return True
-
-    def rec(i: int):
-        if i == k:
-            phi = np.zeros(n, dtype=np.int64)
-            for s, im in phi_partial.items():
-                phi[s] = im
-            ok = np.array_equal(phi[R1.add], R2.add[phi[:, None], phi[None, :]]) \
-                and np.array_equal(phi[R1.mul], R2.mul[phi[:, None], phi[None, :]])
-            return phi if ok else None
-        for f in cands[i]:
-            if f in image_set:
-                continue
-            added = place(i, f)
-            if added is None:
-                continue
-            images.append(f)
-            phi_partial.update(added)
-            image_set.update(added.values())
-            if consistent(i):
-                found = rec(i + 1)
-                if found is not None:
-                    return found
-            images.pop()
-            for src, dst in added.items():
-                del phi_partial[src]
-                image_set.discard(dst)
-        return None
-
-    return result(rec(0))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +175,9 @@ def _least(tables: np.ndarray) -> np.ndarray:
 
 def canonical_form(R: FiniteRing) -> FiniteRing:
     """Canonical (add table, mul table) of R: isomorphic rings map to
-    identical canonical forms.
+    identical canonical forms, so equal forms decide isomorphism.  With the
+    orbit dedup of enumerate_rings, which runs the same transports, it is
+    the package's one isomorphism mechanism.
 
     R is relabeled by its coordinate map (coordinates), so its
     multiplication is read in standard coordinates; the least of its
@@ -445,19 +344,21 @@ def enumerate_rings(n: int, out_dir: Optional[str] = None,
     the group carries one onto the other.  The first structure of each orbit
     becomes representative o{n}_c{k:03d}, stored in canonical tables, the
     least transported multiplication over the minimal group table (the
-    tables canonical_form gives).  isomorphic stays out of it, as the
-    independent check.  The classes of a type searched in this run are
-    marked proved, keeping the search's proof; those of a type read from a
-    part file, input like any other, are validated.
+    tables canonical_form gives).  The classes are numbered type by type in
+    groups.abelian_group_types order.  The classes of a type searched in
+    this run are marked proved, keeping the search's proof; those of a type
+    read from a part file, input like any other, are validated.
 
     The search is bounded by a wall-clock deadline time_budget() from the
     start; a search still running at the deadline raises PartialUniverse,
     saying how far the run got, instead of returning a silently truncated
-    catalog.  Each group type is searched whole, in one search.  With
-    out_dir set, each type's rows go to a part file and the manifest is
-    rewritten after every type, so however the run stops, resume=True
-    reuses the part files the manifest records as done, if they match it
-    (see _load_part).
+    catalog.  Each group type is searched whole, in one search, the types
+    with the fewest invariant factors first (then in abelian_group_types
+    order): the search grows with the k*k generator products, so a stop
+    at the deadline has finished every cheaper type.  With out_dir set,
+    each type's rows go to a part file and the manifest is rewritten after
+    every type, so however the run stops, resume=True reuses the part files
+    the manifest records as done, if they match it (see _load_part).
     """
     if n > MAX_ENUM_ORDER:
         raise TooLarge(f"exhaustive enumeration is capped at order {MAX_ENUM_ORDER}")
@@ -478,8 +379,8 @@ def enumerate_rings(n: int, out_dir: Optional[str] = None,
     types = groups.abelian_group_types(n)
     raw_rows: dict[tuple[int, ...], np.ndarray] = {}
     searched: set[tuple[int, ...]] = set()
-    type_log: list[dict] = []
-    for factors in types:
+    type_log: dict[tuple[int, ...], dict] = {}
+    for factors in sorted(types, key=len):  # fewest generators first
         name = f"t{_type_key(factors)}.json"
         rows = _load_part(out_path, name, recorded, factors)
         if rows is None:
@@ -492,22 +393,25 @@ def enumerate_rings(n: int, out_dir: Optional[str] = None,
             if out_path:
                 _save_part(out_path, name, factors, rows)
         raw_rows[factors] = rows
-        type_log.append({"factors": list(factors), "raw_count": int(rows.shape[0]),
-                         "status": "done", "file": f"parts/{name}"})
+        type_log[factors] = {"factors": list(factors), "raw_count": int(rows.shape[0]),
+                             "status": "done", "file": f"parts/{name}"}
         # keep the resumed records of the types not reached yet
-        _flush_manifest(out_path, n, type_log + recorded[len(type_log):],
-                        complete=False)
+        finished = [list(done) for done in type_log]
+        _flush_manifest(out_path, n, list(type_log.values()) + [
+            e for e in recorded if e.get("factors") not in finished],
+            complete=False)
 
     reps = []
-    for factors, rows in raw_rows.items():
+    for factors in types:
         table = _min_group_table(factors)[0]
-        for cmul in _orbit_classes(factors, rows):
+        for cmul in _orbit_classes(factors, raw_rows[factors]):
             ring = FiniteRing(table, cmul, f"o{n}_c{len(reps):03d}")
             ring.proved = factors in searched  # else its rows are file input
             reps.append(ring if ring.proved else validate(ring))
     catalog = IsoClassCatalog(
-        n, reps, {factors: rows.shape[0] for factors, rows in raw_rows.items()})
-    _flush_manifest(out_path, n, type_log, complete=True, catalog=catalog)
+        n, reps, {factors: raw_rows[factors].shape[0] for factors in types})
+    _flush_manifest(out_path, n, [type_log[factors] for factors in types],
+                    complete=True, catalog=catalog)
     return catalog
 
 
@@ -624,7 +528,7 @@ def read_catalog(path) -> IsoClassCatalog:
 
 
 # ---------------------------------------------------------------------------
-# searches over the catalog universe
+# the catalog universe
 
 
 _catalog_cache: dict[int, IsoClassCatalog] = {}
@@ -641,84 +545,3 @@ def catalog_rings(max_order: int) -> list[FiniteRing]:
     if max_order > MAX_ENUM_ORDER:
         raise TooLarge(f"the catalog is capped at order {MAX_ENUM_ORDER}")
     return [ring for n in range(1, max_order + 1) for ring in cached_catalog(n)]
-
-
-def search_n_centralizer(target: int, max_order: int) -> list[FiniteRing]:
-    """All catalog representatives with exactly target distinct centralizers
-    and order <= max_order.  An empty answer is meaningful."""
-    return [ring for ring in catalog_rings(max_order)
-            if len(cent_set(ring)) == target]
-
-
-# ---------------------------------------------------------------------------
-# independent slow path: full multiplication-table enumeration
-
-
-def enumerate_mul_tables(add: np.ndarray) -> list[np.ndarray]:
-    """Every multiplication table that makes (add, mul) a ring.
-
-    Deliberately plain backtracking over all n*n cells with partial law
-    checks; serves as the independent cross-check of the structure-constant
-    route for tiny orders.
-    """
-    add = np.asarray(add, dtype=np.int64)
-    n = add.shape[0]
-    if n > 8:
-        raise TooLarge("full-table enumeration is a cross-check for n <= 8")
-    A = add.tolist()
-    nn = n * n
-
-    dist_at: list[list[tuple]] = [[] for _ in range(nn)]
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                r = max(x * n + A[y][z], x * n + y, x * n + z)
-                dist_at[r].append((0, x, y, z))
-                r = max(A[x][y] * n + z, x * n + z, y * n + z)
-                dist_at[r].append((1, x, y, z))
-    assoc_at: list[list[tuple]] = [[] for _ in range(nn)]
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                touched = {x * n + y, y * n + z}
-                touched.update(x * n + j for j in range(n))
-                touched.update(i * n + z for i in range(n))
-                for t in touched:
-                    assoc_at[t].append((x, y, z))
-
-    mul = [0] * nn
-    out: list[np.ndarray] = []
-
-    def laws_ok(t: int) -> bool:
-        for side, x, y, z in dist_at[t]:
-            if side == 0:
-                if mul[x * n + A[y][z]] != A[mul[x * n + y]][mul[x * n + z]]:
-                    return False
-            else:
-                if mul[A[x][y] * n + z] != A[mul[x * n + z]][mul[y * n + z]]:
-                    return False
-        for x, y, z in assoc_at[t]:
-            xy = x * n + y
-            yz = y * n + z
-            if xy > t or yz > t:
-                continue
-            left = mul[xy] * n + z
-            right = x * n + mul[yz]
-            if left > t or right > t:
-                continue
-            if mul[left] != mul[right]:
-                return False
-        return True
-
-    def rec(t: int):
-        if t == nn:
-            out.append(np.array(mul, dtype=np.int64).reshape(n, n))
-            return
-        for v in range(n):
-            mul[t] = v
-            if laws_ok(t):
-                rec(t + 1)
-        mul[t] = 0
-
-    rec(0)
-    return out

@@ -20,7 +20,7 @@ from .centralizers import CentReport, analyze, cent_set
 from .enumeration import catalog_rings, read_catalog
 from .errors import EmptyUniverse, RingError, UnknownSuite, ValidationError
 from .groups import is_prime, prime_factorization, smallest_prime_divisor
-from .rings import ElementSet, FiniteRing, load_ring, subrings, validate
+from .rings import ElementSet, FiniteRing, load_ring, subrings
 
 
 @dataclass
@@ -380,30 +380,3 @@ def load_universe(token: str) -> tuple[list[FiniteRing], str]:
         catalog = read_catalog(path)
         return list(catalog.representatives), f"catalog {path}"
     return [load_ring(path)], f"ring {path}"
-
-
-# --- mutation harness ------------------------------------------------------
-
-
-def mutate_entry(R: FiniteRing, i: int, j: int, value: int) -> dict:
-    """Explicit spec of R with mul[i][j] overwritten."""
-    doc = R.spec().to_json()
-    doc["mul"][i][j] = value
-    doc["label"] = f"{R.label}~mut({i},{j}->{value})"
-    return doc
-
-
-def detect_mutation(doc: dict) -> str:
-    """Classify a (possibly corrupted) explicit spec.
-
-    Returns "validation" when the tables no longer form a ring, else the id
-    of the first suite that reports a violation on it, else "undetected".
-    """
-    try:
-        R = validate(doc)
-    except ValidationError:
-        return "validation"
-    for sid in sorted(SUITES):
-        if not run_suite(sid, [R], "mutation").passed:
-            return sid
-    return "undetected"

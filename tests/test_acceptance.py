@@ -14,13 +14,8 @@ from ringcent import (
     cent_set,
     commutativity_degree,
     enumerate_rings,
-    isomorphic,
 )
-from ringcent.enumeration import (
-    cached_catalog,
-    enumerate_mul_tables,
-    search_n_centralizer,
-)
+from ringcent.enumeration import cached_catalog
 from ringcent.gallery import (
     default_gallery,
     direct_product,
@@ -31,7 +26,15 @@ from ringcent.gallery import (
 )
 from ringcent.groups import abelian_group_types, group_add_table
 from ringcent.rings import FiniteRing
-from ringcent.suites import SUITES, detect_mutation, mutate_entry, run_suite
+from ringcent.suites import SUITES, run_suite
+
+from oracles import (
+    detect_mutation,
+    enumerate_mul_tables,
+    isomorphic,
+    mutate_entry,
+    search_n_centralizer,
+)
 
 
 def _check(tag: str, ok: bool, detail: str = "") -> bool:

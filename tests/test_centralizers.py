@@ -24,7 +24,8 @@ from ringcent.gallery import (
     row_ring,
     upper_triangular_ring,
 )
-from ringcent.suites import mutate_entry
+
+from oracles import mutate_entry
 
 
 def brute_force_commuting_pairs(R):

@@ -340,6 +340,34 @@ def test_verify_violation_dump_path(tmp_path, capsys, monkeypatch):
     assert "mul" in doc and "add" in doc
 
 
+def test_violation_dump_stays_in_the_dump_dir_whatever_the_label(
+        tmp_path, capsys, monkeypatch):
+    # the label comes from the spec file; its path separators must not
+    # steer the dump out of --dump-dir, nor into a missing directory
+    import ringcent.suites as suites_mod
+    from ringcent.gallery import row_ring
+    from ringcent.rings import FiniteRing
+
+    def always_fails(rings, violations):
+        for R in rings:
+            suites_mod._report(violations, R, "impossible", "by design")
+        return len(rings)
+
+    monkeypatch.setitem(suites_mod.SUITES, "planted_failure", always_fails)
+
+    R = row_ring(2)
+    spec = tmp_path / "ring.json"
+    FiniteRing(R.add, R.mul, "../escaped").spec().save(spec)
+    dumps = tmp_path / "out" / "d"
+    code, _ = run_cli(capsys, "verify", "--suite", "planted_failure",
+                      "--universe", str(spec), "--dump-dir", str(dumps))
+    assert code == 1
+    assert [p.name for p in dumps.iterdir()] == ["planted_failure_.._escaped.json"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["d"]
+    doc = json.loads((dumps / "planted_failure_.._escaped.json").read_text())
+    assert doc["label"] == "../escaped"
+
+
 def test_reader_that_closes_early_gets_no_traceback():
     # the read end is closed before the command starts, so its first write fails
     read_end, write_end = os.pipe()

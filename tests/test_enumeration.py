@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import re
 import time
 from collections import Counter
@@ -18,7 +19,6 @@ from ringcent import (
     canonical_form,
     cent_set,
     enumerate_rings,
-    isomorphic,
     validate,
 )
 from ringcent.abelian import classify_additive
@@ -28,15 +28,23 @@ from ringcent.enumeration import (
     _min_group_table,
     _orbit_classes,
     coordinates,
-    element_fingerprints,
-    enumerate_mul_tables,
     raw_structures,
     read_catalog,
-    search_n_centralizer,
 )
 from ringcent.gallery import direct_product, modular_ring, row_ring
 from ringcent.groups import abelian_group_types, group_add_table, radix_weights
 from ringcent.rings import structure_tables
+
+from oracles import (
+    element_fingerprints,
+    enumerate_mul_tables,
+    isomorphic,
+    search_n_centralizer,
+)
+
+# isomorphism classes of rings of orders 1..13 (the table in README)
+CLASSES = {1: 1, 2: 2, 3: 2, 4: 11, 5: 2, 6: 4, 7: 2, 8: 52, 9: 11, 10: 4,
+           11: 2, 12: 22, 13: 2}
 
 
 def raw_rings(n):
@@ -107,7 +115,7 @@ def test_isomorphic_runs_no_centralizer_analysis(catalog, monkeypatch):
 
     for name in ("cent_set", "center", "commutativity_degree"):
         monkeypatch.setattr(f"ringcent.centralizers.{name}", banned)
-    monkeypatch.setattr("ringcent.enumeration.cent_set", banned)
+    monkeypatch.setattr("oracles.cent_set", banned)
     # two noncommutative classes that element fingerprints cannot tell
     # apart, copied so that no report field is cached on them
     a, b = (FiniteRing(R.add, R.mul, R.label)
@@ -382,10 +390,13 @@ def test_invariants_equal_on_isomorphic_pairs(catalog):
         assert (quotient_type(R, center(R)) == quotient_type(S, center(S)))
 
 
-def test_catalog_representatives_pairwise_non_isomorphic(catalog):
-    reps = catalog(8).representatives
+@pytest.mark.parametrize("n", range(1, 14))
+def test_catalog_representatives_pairwise_non_isomorphic(catalog, n):
+    # the oracle for the orbit dedup on every group type of orders 1..13,
+    # the mixed types of orders 9 and 12 among them
+    reps = catalog(n).representatives
     pairs = list(itertools.combinations(reps, 2))
-    assert len(pairs) == 1326
+    assert len(pairs) == math.comb(CLASSES[n], 2)  # 1326 at order 8
     for a, b in pairs:
         assert not isomorphic(a, b), (a.label, b.label)
 
@@ -411,9 +422,18 @@ def test_catalog_covers_every_raw_structure(catalog):
         assert len(hits) == 1
 
 
-def test_search_order_cap():
-    with pytest.raises(TooLarge):
-        search_n_centralizer(4, 17)
+def test_search_order_cap(capsys, monkeypatch):
+    # the verb refuses the order before it searches anything
+    from ringcent import enumeration
+    from ringcent.cli import main
+
+    monkeypatch.setattr(enumeration, "raw_structures", None)  # nothing to search
+    start = time.monotonic()
+    assert main(["search", "--cent", "4", "--max-order", "17"]) == 2
+    assert time.monotonic() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: TooLarge: the catalog is capped at order 16\n"
 
 
 def test_enumeration_rejects_large_orders():
@@ -444,14 +464,16 @@ def test_budget_is_a_wall_clock_deadline(tmp_path, monkeypatch):
     )
     assert m, str(err.value)
     group, nodes, done, total, secs = m.groups()
-    types = abelian_group_types(16)
-    assert int(total) == len(types)
-    assert types[int(done)] == tuple(int(x) for x in group.split(", "))
+    # the types with fewer generators are searched first: Z_2^4 is stopped
+    # after the other four finished
+    assert int(total) == len(abelian_group_types(16)) == 5
+    assert (int(done), group) == (4, "2, 2, 2, 2")
     assert int(nodes) > 0
     assert 0.5 <= float(secs) < 1.5
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert not manifest["complete"]
     assert len(manifest["types"]) == int(done)
+    assert [2, 2, 2, 2] not in [e["factors"] for e in manifest["types"]]
 
 
 def test_budget_without_a_journal_names_the_group_types_finished(monkeypatch):
@@ -468,9 +490,10 @@ def test_budget_without_a_journal_names_the_group_types_finished(monkeypatch):
     )
     assert m, str(err.value)
     group, nodes, done, total, secs = m.groups()
-    types = abelian_group_types(16)
-    assert int(total) == len(types)
-    assert types[int(done)] == tuple(int(x) for x in group.split(", "))
+    # the types with fewer generators are searched first: Z_2^4 is stopped
+    # after the other four finished
+    assert int(total) == len(abelian_group_types(16)) == 5
+    assert (int(done), group) == (4, "2, 2, 2, 2")
     assert int(nodes) > 0
     assert 0.5 <= float(secs) < 1.5
 

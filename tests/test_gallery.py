@@ -178,7 +178,7 @@ def test_direct_product_too_large():
 
 
 def test_direct_product_with_zero_ring_is_isomorphic():
-    from ringcent import isomorphic
+    from oracles import isomorphic
 
     one = validate({"order": 1, "add": [[0]], "mul": [[0]]})
     R = row_ring(2)
@@ -187,7 +187,7 @@ def test_direct_product_with_zero_ring_is_isomorphic():
 
 
 def test_direct_product_associative_up_to_isomorphism():
-    from ringcent import isomorphic
+    from oracles import isomorphic
 
     a, b, c = modular_ring(2), row_ring(2), modular_ring(3)
     left = direct_product(direct_product(a, b), c)

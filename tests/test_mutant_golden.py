@@ -17,7 +17,9 @@ import numpy as np
 
 from ringcent.gallery import row_ring
 from ringcent.rings import FiniteRing
-from ringcent.suites import SUITES, mutate_entry, run_suite
+from ringcent.suites import SUITES, run_suite
+
+from oracles import mutate_entry
 
 GOLDEN = Path(__file__).parent / "golden" / "mutant_outcomes.json"
 
