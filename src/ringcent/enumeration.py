@@ -151,11 +151,15 @@ def _min_group_automorphisms(factors: tuple[int, ...]) -> np.ndarray:
     return rows
 
 
-def _transports(factors: tuple[int, ...], mul: np.ndarray) -> np.ndarray:
-    """(count, n, n) stack: `mul`, given in standard coordinates (the
-    encoding of groups.coeff_vectors), relabeled onto the minimal group table
-    of `factors` and transported by each of its automorphisms, in the order
-    of _min_group_automorphisms.  No caller depends on that order."""
+def _transports(factors: tuple[int, ...],
+                mul: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(least, orbit) for `mul`, given in standard coordinates (the encoding
+    of groups.coeff_vectors), relabeled onto the minimal group table of
+    `factors` and transported by each of its automorphisms.  least is the
+    lexicographically least transport; orbit is (count, k*k) for k factors,
+    every transport read back at the generators in standard coordinates, one
+    row per automorphism of _min_group_automorphisms.  The (count, n, n)
+    stack of transports lives only in this call."""
     _, sigma = _min_group_table(factors)
     inv0 = _inverse(sigma)
     M0 = sigma[mul[np.ix_(inv0, inv0)]]
@@ -163,29 +167,27 @@ def _transports(factors: tuple[int, ...], mul: np.ndarray) -> np.ndarray:
     inv = np.empty_like(auts)
     rows = np.arange(auts.shape[0])[:, None]
     inv[rows, auts] = np.arange(auts.shape[1])[None, :]
-    return auts[rows[:, None], M0[inv[:, :, None], inv[:, None, :]]]
-
-
-def _least(tables: np.ndarray) -> np.ndarray:
-    """The lexicographically least table of a stack, as a copy: a view
-    would keep the whole stack alive."""
+    tables = auts[rows[:, None], M0[inv[:, :, None], inv[:, None, :]]]
     flat = tables.reshape(tables.shape[0], -1)
-    return tables[np.lexsort(flat.T[::-1])[0]].copy()
+    least = tables[np.lexsort(flat.T[::-1])[0]].copy()
+    gens = sigma[list(groups.radix_weights(factors))]  # g_i on the minimal table
+    orbit = inv0[tables[:, gens[:, None], gens[None, :]]]
+    return least, orbit.reshape(tables.shape[0], len(factors) ** 2)
 
 
 def canonical_form(R: FiniteRing) -> FiniteRing:
     """Canonical (add table, mul table) of R: isomorphic rings map to
-    identical canonical forms, so equal forms decide isomorphism.  With the
-    orbit dedup of enumerate_rings, which runs the same transports, it is
+    identical canonical forms, so equal forms decide isomorphism.  It and the
+    orbit dedup of enumerate_rings read one action of Aut(G), _transports,
     the package's one isomorphism mechanism.
 
     R is relabeled by its coordinate map (coordinates), so its
     multiplication is read in standard coordinates; the least of its
-    transports onto the minimal group table (_transports) is the canonical
-    multiplication.  Isomorphic rings meet because the labelling per
-    additive type is fixed and the transports run over all of Aut(G): the
-    standard-coordinate multiplications of two isomorphic rings differ by an
-    automorphism, so their transport stacks hold the same tables.  That
+    transports onto the minimal group table, the first value of _transports,
+    is the canonical multiplication.  Isomorphic rings meet because the
+    labelling per additive type is fixed and the transports run over all of
+    Aut(G): the standard-coordinate multiplications of two isomorphic rings
+    differ by an automorphism, so their transports are the same tables.  That
     _min_group_table is lex-min is checked for the pinned types, not relied
     on."""
     if R.order > MAX_ENUM_ORDER:
@@ -193,7 +195,7 @@ def canonical_form(R: FiniteRing) -> FiniteRing:
     factors, coords = coordinates(R)
     std = R.relabel(coords)
     return FiniteRing(_min_group_table(factors)[0],
-                      _least(_transports(factors, std.mul)), R.label)
+                      _transports(factors, std.mul)[0], R.label)
 
 
 # ---------------------------------------------------------------------------
@@ -237,45 +239,43 @@ def _orbit_classes(factors: tuple[int, ...], rows: np.ndarray) -> list[np.ndarra
     """Canonical multiplication of each Aut(G)-orbit among the raw rows of one
     group type, in the order of each orbit's first row.
 
-    Rows are walked in search order.  A row not yet seen is expanded and
+    Rows are walked in search order, over one index from row bytes to row
+    position (a repeated row maps to its last copy).  A row not yet seen is
     transported under every automorphism of the group (_transports): the
-    least transported table is its class's canonical multiplication, and
-    every transported table, read back at the generators in standard
-    coordinates, is a row of the same orbit, skipped from then on.
-    The orbits must partition the rows, so an image that is not a raw row, or
-    orbit sizes that do not sum to the row count (a row missing or repeated),
-    raise RingError naming the group rather than give a wrong catalog.
+    least transport is its class's canonical multiplication, and the orbit's
+    rows are marked seen.  The orbits must partition the rows, so an image
+    that is not a raw row, an orbit in which the row itself does not occur
+    |Stab| = |Aut(G)| / |orbit| times (orbit-stabilizer), or orbits that do
+    not cover the rows (a row missing or repeated) raise RingError naming
+    the group rather than give a wrong catalog.  The last two make the sum
+    of |Aut(G)| / |Stab| over the classes equal the row count.
 
     On the search's rows each class is a proved ring: the search proved
     associativity on the generators, and the bilinear expansion carries it
     to every triple and distributes.
     """
-    k = len(factors)
-    _, sigma = _min_group_table(factors)
-    inv0 = _inverse(sigma)
-    gens = sigma[list(groups.radix_weights(factors))]  # g_i on the minimal table
-    raw = {row.tobytes() for row in rows}
-    seen: set[bytes] = set()
-    covered = 0
+    index = {row.tobytes(): i for i, row in enumerate(rows)}
+    seen = np.zeros(rows.shape[0], dtype=bool)
     classes = []
-    for row in rows:
-        if row.tobytes() in seen:
+    for i, row in enumerate(rows):
+        if seen[i]:
             continue
         _, mul = structure_tables(factors, _constants(factors, row))
-        tables = _transports(factors, mul)
-        images = inv0[tables[:, gens[:, None], gens[None, :]]]
-        orbit = {image.tobytes() for image in images.reshape(len(images), k * k)}
-        if not orbit <= raw:
+        least, images = _transports(factors, mul)
+        orbit = [index.get(image.tobytes(), -1) for image in images]
+        if -1 in orbit:
             raise RingError(
                 f"group {list(factors)}: an automorphic image of raw structure "
                 f"{row.tolist()} is not among the raw structures"
             )
-        seen |= orbit
-        covered += len(orbit)
-        classes.append(_least(tables))
-    if covered != rows.shape[0]:
+        if len(set(orbit)) * orbit.count(index[row.tobytes()]) != len(orbit):
+            raise RingError(f"group {list(factors)}: the orbit of raw structure "
+                            f"{row.tolist()} breaks orbit-stabilizer")
+        seen[orbit] = True
+        classes.append(least)
+    if seen.sum() != rows.shape[0]:
         raise RingError(
-            f"group {list(factors)}: the automorphism orbits cover {covered} "
+            f"group {list(factors)}: the automorphism orbits cover {seen.sum()} "
             f"structures, but the search gave {rows.shape[0]} rows"
         )
     return classes
@@ -342,9 +342,10 @@ def enumerate_rings(n: int, out_dir: Optional[str] = None,
     takes the Aut(G)-orbit of each one not yet covered (_orbit_classes): two
     structures on one group are isomorphic exactly when an automorphism of
     the group carries one onto the other.  The first structure of each orbit
-    becomes representative o{n}_c{k:03d}, stored in canonical tables, the
-    least transported multiplication over the minimal group table (the
-    tables canonical_form gives).  The classes are numbered type by type in
+    becomes representative o{n}_c{k:03d}, stored in canonical tables: the
+    least transported multiplication over the minimal group table, read from
+    the same _transports call that gives the orbit, so the tables
+    canonical_form gives.  The classes are numbered type by type in
     groups.abelian_group_types order.  The classes of a type searched in
     this run are marked proved, keeping the search's proof; those of a type
     read from a part file, input like any other, are validated.

@@ -176,16 +176,17 @@ class RingSpec:
     def from_json(doc: dict) -> "RingSpec":
         if not isinstance(doc, dict):
             raise ValidationError("ring spec must be a JSON object")
+        label = doc.get("label")
+        if label is not None and not isinstance(label, str):
+            raise ValidationError(f"ring spec label must be a string, not {label!r}")
         try:
             if "add" in doc:
-                spec = RingSpec.explicit(doc["add"], doc["mul"], doc.get("label"))
+                spec = RingSpec.explicit(doc["add"], doc["mul"], label)
                 if "order" in doc:
                     spec.order = doc["order"]
                 return spec
             if "group" in doc:
-                return RingSpec.structure(
-                    doc["group"], doc["mul_constants"], doc.get("label")
-                )
+                return RingSpec.structure(doc["group"], doc["mul_constants"], label)
         except KeyError as exc:
             raise ValidationError(f"ring spec is missing key {exc}") from None
         except TypeError:

@@ -136,6 +136,20 @@ MALFORMED_SPECS = {
 }
 
 
+@pytest.mark.parametrize("label", ["3", '["r"]', "{}", "true"],
+                         ids=["int", "list", "object", "bool"])
+def test_inspect_rejects_a_label_that_is_not_a_string(tmp_path, capsys, label):
+    # verify names its violation dumps after the label, so it must be text
+    path = tmp_path / "spec.json"
+    path.write_text('{"label": %s, "add": [[0, 1], [1, 0]], '
+                    '"mul": [[0, 0], [0, 0]]}' % label)
+    code = main(["inspect", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ValidationError: ")
+
+
 # catalog directories whose manifest.json is absent (None), not JSON, JSON
 # without an order, or with a listing of the wrong shape
 MALFORMED_MANIFESTS = {
@@ -291,6 +305,25 @@ def test_verify_gallery_golden(capsys):
                         "--universe", "gallery", "--json", "--no-timing")
     assert code == 0
     assert out == (GOLDEN / "verify_gallery.json").read_text()
+
+
+# the rings each suite checks on the catalog of orders 1..13: coverage must
+# not fall silently
+CATALOG_IN_SCOPE = {
+    "D_58": 117, "D_bound": 26, "D_conv": 22, "D_rc": 26,
+    "L1_intersection": 117, "L2_union": 26, "L3_two_subrings": 116,
+    "L4_index2": 21, "L5C2_counting": 2, "P2_product": 60, "T1_no_2_3": 117,
+    "T_4c": 117, "T_5c": 117, "T_dc": 117, "T_p2": 4, "T_p3_unital": 1,
+    "T_pring": 22,
+}
+
+
+def test_verify_catalog_in_scope_counts(capsys):
+    code, out = run_cli(capsys, "verify", "--suite", "all",
+                        "--universe", "catalog", "--json", "--no-timing")
+    assert code == 0
+    assert {doc["suite"]: doc["checked"] for doc in json.loads(out)} \
+        == CATALOG_IN_SCOPE
 
 
 def test_verify_dumps_violations_and_exits_nonzero(tmp_path, capsys, monkeypatch):

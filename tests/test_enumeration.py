@@ -664,6 +664,21 @@ def test_resume_refuses_rows_that_are_not_whole_orbits(tmp_path, row, message):
     assert message in str(exc.value)
 
 
+def test_orbit_stabilizer_catches_an_automorphism_listed_twice(monkeypatch):
+    # with one automorphism of Z_2 x Z_2 listed twice the orbits still
+    # partition the rows, into the right 11 classes; only the count of each
+    # orbit's rows against |Aut(G)| sees it
+    from ringcent import enumeration
+
+    auts = enumeration._min_group_automorphisms
+    monkeypatch.setattr(enumeration, "_min_group_automorphisms",
+                        lambda factors: np.concatenate((auts(factors),
+                                                        auts(factors)[:1])))
+    with pytest.raises(RingError, match=re.escape("group [2, 2]: ")
+                       + ".* breaks orbit-stabilizer"):
+        enumerate_rings(4)
+
+
 def test_order_one_written_with_a_journal_is_reused_on_resume(tmp_path,
                                                               monkeypatch):
     # the zero ring's part holds one row of no cells, [[]]

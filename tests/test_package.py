@@ -1,6 +1,8 @@
-"""The package's export list."""
+"""The package's export list, and no definition the package never names."""
 
+import ast
 from collections import Counter
+from pathlib import Path
 
 import ringcent
 
@@ -13,3 +15,22 @@ def test_every_export_is_defined_once_and_star_imports():
     namespace = {}
     exec("from ringcent import *", namespace)
     assert set(ringcent.__all__) <= set(namespace)
+
+
+def test_every_module_level_definition_is_named_in_the_package():
+    # a helper no code of the package names is dead weight; tests and the
+    # benchmark do not count as callers
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(ringcent.__file__).parent.glob("*.py"))]
+    named = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    defined = [node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert [name for name in defined if name not in named] == []
