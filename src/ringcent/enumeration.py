@@ -26,10 +26,11 @@ from .abelian import classify_additive
 # unused here; perfbench/test_perfbench.py checks that its tracer restores
 # enumeration.cent_set (ROADMAP item 7 drops both)
 from .centralizers import cent_set  # noqa: F401
-from .errors import PartialUniverse, RingError, TooLarge
+from .errors import PartialUniverse, RingError, TooLarge, ValidationError
 from .rings import (
     FiniteRing,
     RingSpec,
+    _int_array,
     _multiples,
     structure_tables,
     validate,
@@ -468,12 +469,12 @@ def _load_part(out_path, name, recorded, factors) -> Optional[np.ndarray]:
         return None
     try:
         doc = json.loads((out_path / "parts" / name).read_text())
-        rows = np.asarray(doc["assignments"], dtype=np.int64)
+        rows = _int_array(doc["assignments"], "assignments")
         rows = rows.reshape(len(rows), len(factors) ** 2)  # order 1: (1, 0)
         ok = (tuple(doc["factors"]) == factors
               and rows.shape[0] == done[0].get("raw_count")
               and ((rows >= 0) & (rows < math.prod(factors))).all())
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, ValidationError):
         return None
     return rows if ok else None
 
@@ -508,10 +509,12 @@ def read_catalog(path) -> IsoClassCatalog:
     path = Path(path)
     try:
         doc = json.loads((path / "manifest.json").read_text())
-        order = int(doc["order"])
+        order, counts = doc["order"], doc.get("per_type_raw", {})
+        if any(type(v) is not int for v in [order, *counts.values()]):
+            raise TypeError("order and per_type_raw counts must be integers")
         files = [path / rel for rel in doc.get("rings", [])]
         per_type = {() if key == "1" else tuple(int(x) for x in key.split("x")): count
-                    for key, count in doc.get("per_type_raw", {}).items()}
+                    for key, count in counts.items()}
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise RingError(f"catalog at {path}: manifest.json is missing or "
                         f"malformed ({exc.__class__.__name__}: {exc})") from None

@@ -3,9 +3,11 @@
 Each kernel has one numpy implementation working on vectorized slabs.  The
 law checks first try to prove their law from the additive generators of the
 table, in O(k n^2) for k generators; only when that proof fails do they scan
-all n^3 triples, to report the *first* failing triple in lexicographic scan
-order, which is what validation error messages quote.  The structure search
-emits its rows in lexicographic order and can stop at a wall-clock deadline.
+all n^3 triples.  A check returns None when its law holds and otherwise
+raises the ValidationError subclass of the law it finds broken, naming the
+*first* failing triple in lexicographic scan order; validate passes these
+errors on as they are.  The structure search emits its rows in
+lexicographic order and can stop at a wall-clock deadline.
 """
 
 import itertools
@@ -17,35 +19,32 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import groups
+from .errors import (
+    BadIdentityConvention,
+    NoAdditiveInverse,
+    NonAbelianAddition,
+    NotAssociative,
+    NotDistributive,
+)
 
-OK = 0
-BAD_IDENTITY = 1
-NONCOMMUTATIVE_ADD = 2
-NONASSOCIATIVE_ADD = 3
-NO_INVERSE = 4
-NONASSOCIATIVE_MUL = 5
-NONDISTRIBUTIVE_LEFT = 6
-NONDISTRIBUTIVE_RIGHT = 7
-
-_PASS = (OK, -1, -1, -1)
 _CHUNK_ROWS = 32          # slab height for vectorized triple checks
 _SLAB_CELLS = 1 << 16     # table entries per generator slab; cache-sized
 _SLAB_COLUMNS = 1 << 14   # partial assignments per slab in the search
 _proofs = None            # (proof, table ids) -> result in shared_proofs()
 
 
-def _scan(code, n, sides):
-    """(code, i, j, k) for the first triple in lexicographic order where the
-    two sides of a law differ, or None.  `sides(rows)` gives both sides for
-    the triples whose first index is in `rows`, as two (rows, n, n) arrays."""
+def _scan(error, law, n, sides):
+    """Raise error("<law> at triple (i, j, k)") for the first triple in
+    lexicographic order where the two sides of a law differ; None if there
+    is none.  `sides(rows)` gives both sides for the triples whose first
+    index is in `rows`, as two (rows, n, n) arrays."""
     for lo in range(0, n, _CHUNK_ROWS):
         rows = np.arange(lo, min(lo + _CHUNK_ROWS, n))
         lhs, rhs = sides(rows)
         bad = np.argwhere(lhs != rhs)
         if bad.size:
             i, j, k = bad[0]
-            return code, int(rows[i]), int(j), int(k)
-    return None
+            raise error(f"{law} at triple ({rows[i]}, {j}, {k})")
 
 
 # ---------------------------------------------------------------------------
@@ -150,28 +149,26 @@ def _distributes(A, M):
 
 
 def add_table_check(A):
-    """First violated additive-group law in table A, or (OK, -1, -1, -1)."""
+    """Raise the first additive-group law table A breaks, checked in the
+    order identity at 0, commutativity, associativity, inverses."""
     n = A.shape[0]
     ar = np.arange(n)
-    bad = np.flatnonzero(A[0] != ar)
-    if bad.size:
-        return BAD_IDENTITY, 0, int(bad[0]), -1
-    bad = np.flatnonzero(A[:, 0] != ar)
-    if bad.size:
-        return BAD_IDENTITY, int(bad[0]), 0, -1
+    for line, cell in ((A[0], "add[0][{}]"), (A[:, 0], "add[{}][0]")):
+        bad = np.flatnonzero(line != ar)
+        if bad.size:
+            at = cell.format(bad[0])
+            raise BadIdentityConvention(
+                f"element 0 is not the additive identity: {at} != {bad[0]}")
     sym = np.argwhere(A != A.T)
     if sym.size:
         i, j = sym[sym[:, 0] < sym[:, 1]][0]  # argwhere is in scan order
-        return NONCOMMUTATIVE_ADD, int(i), int(j), -1
+        raise NonAbelianAddition(f"add[{i}][{j}] != add[{j}][{i}]")
     if _proved(_associative_generators, A) is None:
-        bad = _scan(NONASSOCIATIVE_ADD, n,
-                    lambda rows: (A[A[rows, :], :], A[rows][:, A]))
-        if bad:
-            return bad
+        _scan(NonAbelianAddition, "addition not associative", n,
+              lambda rows: (A[A[rows, :], :], A[rows][:, A]))
     bad = np.flatnonzero(~(A == 0).any(axis=1))
     if bad.size:
-        return NO_INVERSE, int(bad[0]), -1, -1
-    return _PASS
+        raise NoAdditiveInverse(f"element {bad[0]} has no additive inverse")
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +176,15 @@ def add_table_check(A):
 
 
 def mul_assoc_check(A, M):
-    """First associativity failure in M, or (OK, -1, -1, -1).  The addition
-    table A only serves the proof on generators."""
+    """Raise NotAssociative at the first triple where M is not associative.
+    The addition table A only serves the proof on generators."""
     if all(_proved(_distributes, A, M)):
         gens = np.concatenate(_proved(_associative_generators, A))
         prods = M[np.ix_(gens, gens)]
         if np.array_equal(M[prods][:, :, gens], M[gens][:, prods]):
-            return _PASS
-    return _scan(NONASSOCIATIVE_MUL, M.shape[0],
-                 lambda rows: (M[M[rows, :], :], M[rows][:, M])) or _PASS
+            return
+    _scan(NotAssociative, "multiplication not associative", M.shape[0],
+          lambda rows: (M[M[rows, :], :], M[rows][:, M]))
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +192,18 @@ def mul_assoc_check(A, M):
 
 
 def distrib_check(A, M):
-    """First distributivity failure of M over A, or (OK, -1, -1, -1)."""
+    """Raise NotDistributive at the first triple where M fails to distribute
+    over A, the left law checked before the right."""
     n = A.shape[0]
     left, right = _proved(_distributes, A, M)
     if not left:
-        bad = _scan(NONDISTRIBUTIVE_LEFT, n, lambda rows: (
+        _scan(NotDistributive, "left distributivity fails", n, lambda rows: (
             M[rows][:, A],
             A[M[rows, :][:, :, None], M[rows, :][:, None, :]]))
-        if bad:
-            return bad
     if not right:
-        bad = _scan(NONDISTRIBUTIVE_RIGHT, n, lambda rows: (
+        _scan(NotDistributive, "right distributivity fails", n, lambda rows: (
             M[A[rows, :], :],
             A[M[rows][:, None, :], M[None, :, :]]))
-        if bad:
-            return bad
-    return _PASS
 
 
 # ---------------------------------------------------------------------------

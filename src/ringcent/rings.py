@@ -5,13 +5,14 @@ index 0 the additive identity.  Validation is eager and total: validate
 proves every law on load and marks the ring it returns as proved, so
 downstream code never revalidates.  The kernels prove each law on the
 additive generators, which proves it for every triple, and scan triples only
-to name the first failure of a table that is not a ring; validate proves
-each table's generators once (kernels.shared_proofs).  Two kinds of ring are
-proved without the kernels: a direct product of two proved rings
-(gallery.direct_product), and a class enumerate_rings builds from its own
-search (enumeration._orbit_classes).  validate on a FiniteRing always proves
-again; any other new FiniteRing, from the constructor, relabel or opposite,
-is unproved.
+to find the first failure of a table that is not a ring, which they raise
+as its law's ValidationError; validate runs the three checks in order and
+lets the first raise pass, proving each table's generators once
+(kernels.shared_proofs).  Two kinds of ring are proved without the kernels:
+a direct product of two proved rings (gallery.direct_product), and a class
+enumerate_rings builds from its own search (enumeration._orbit_classes).
+validate on a FiniteRing always proves again; any other new FiniteRing, from
+the constructor, relabel or opposite, is unproved.
 """
 
 import itertools
@@ -25,17 +26,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import groups, kernels
-from .errors import (
-    BadIdentityConvention,
-    IndexOutOfRange,
-    NoAdditiveInverse,
-    NonAbelianAddition,
-    NotAssociative,
-    NotDistributive,
-    RingError,
-    TooLarge,
-    ValidationError,
-)
+from .errors import IndexOutOfRange, RingError, TooLarge, ValidationError
 
 MAX_ORDER = 256
 
@@ -362,27 +353,13 @@ def _expand_structure(spec: RingSpec) -> tuple[np.ndarray, np.ndarray]:
     return structure_tables(factors, C)
 
 
-# kernel failure code -> (exception, message); a failure at a triple of
-# elements (k >= 0) names the triple after the message
-_LAW_FAILURES = {
-    kernels.BAD_IDENTITY: (BadIdentityConvention, "element 0 is not the additive "
-                           "identity: add[{i}][{j}] != {top}"),
-    kernels.NONCOMMUTATIVE_ADD: (NonAbelianAddition, "add[{i}][{j}] != add[{j}][{i}]"),
-    kernels.NONASSOCIATIVE_ADD: (NonAbelianAddition, "addition not associative"),
-    kernels.NO_INVERSE: (NoAdditiveInverse, "element {i} has no additive inverse"),
-    kernels.NONASSOCIATIVE_MUL: (NotAssociative, "multiplication not associative"),
-    kernels.NONDISTRIBUTIVE_LEFT: (NotDistributive, "left distributivity fails"),
-    kernels.NONDISTRIBUTIVE_RIGHT: (NotDistributive, "right distributivity fails"),
-}
-
-
 def validate(spec) -> FiniteRing:
     """Check every ring law on the spec's tables and return the ring.
 
     Accepts a RingSpec (either form), a parsed JSON dict, or a FiniteRing
     whose tables should be (re)checked; a FiniteRing's arrays are checked as
-    they are.  Raises the specific law violation, naming the first failing
-    triple in scan order.
+    they are.  Raises the specific law violation, as the first law check to
+    fail raises it, naming the first failing triple in scan order.
     """
     if isinstance(spec, dict):
         spec = RingSpec.from_json(spec)
@@ -413,15 +390,10 @@ def validate(spec) -> FiniteRing:
                 f"outside 0..{n - 1}"
             )
 
-    with kernels.shared_proofs():
-        for check, tables in ((kernels.add_table_check, (add,)),
-                              (kernels.mul_assoc_check, (add, mul)),
-                              (kernels.distrib_check, (add, mul))):
-            code, i, j, k = check(*tables)
-            if code != kernels.OK:
-                error, message = _LAW_FAILURES[code]
-                at = f" at triple ({i}, {j}, {k})" if k >= 0 else ""
-                raise error(message.format(i=i, j=j, top=max(i, j)) + at)
+    with kernels.shared_proofs():  # each check raises the law it breaks
+        kernels.add_table_check(add)
+        kernels.mul_assoc_check(add, mul)
+        kernels.distrib_check(add, mul)
 
     ring = FiniteRing(add, mul, spec.label)
     ring.proved = True

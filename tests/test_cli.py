@@ -151,7 +151,8 @@ def test_inspect_rejects_a_label_that_is_not_a_string(tmp_path, capsys, label):
 
 
 # catalog directories whose manifest.json is absent (None), not JSON, JSON
-# without an order, or with a listing of the wrong shape
+# without an order, with a listing of the wrong shape, or with a count that
+# is no integer
 MALFORMED_MANIFESTS = {
     "no_manifest": None,
     "truncated_manifest": '{"order": 4, "complete": tr',
@@ -159,6 +160,8 @@ MALFORMED_MANIFESTS = {
     "orderless_manifest": '{"complete": true, "rings": []}',
     "bad_type_manifest": '{"order": 4, "complete": true, "per_type_raw": {"2xa": 1}}',
     "scalar_rings_manifest": '{"order": 4, "complete": true, "rings": 5}',
+    "string_count_manifest": '{"order": 4, "complete": true, "classes": 0, '
+                             '"per_type_raw": {"4": "7"}}',
 }
 
 

@@ -546,7 +546,8 @@ def _largest_part(out):
 
 
 @pytest.mark.parametrize("damage", ["shortened", "truncated", "manifest",
-                                    "records", "record", "99", "-1"])
+                                    "records", "record", "99", "-1", "1.5",
+                                    "true"])
 def test_resume_searches_damaged_parts_again(tmp_path, damage):
     out = tmp_path / "cat9"
     fresh = enumerate_rings(9, out_dir=str(out))
@@ -558,9 +559,9 @@ def test_resume_searches_damaged_parts_again(tmp_path, damage):
         part.write_text(json.dumps(doc))
     elif damage == "truncated":  # cut mid-file, as a crash mid-write leaves it
         part.write_text(whole[: len(whole) // 2])
-    elif damage in ("99", "-1"):  # a value that is no element of Z_9 or Z_3^2
+    elif damage in ("99", "-1", "1.5", "true"):  # no element of Z_9 or Z_3^2
         doc = json.loads(whole)
-        doc["assignments"][0][0] = int(damage)
+        doc["assignments"][0][0] = json.loads(damage)
         part.write_text(json.dumps(doc))
     elif damage == "manifest":  # unreadable: every type is searched again
         manifest = out / "manifest.json"

@@ -1,5 +1,6 @@
 """Kernels against naive oracles: pure-Python triple loops for the law
-checks (same code, same first failing triple) and brute-force expansion for
+checks (same error raised, with the same message naming the same first
+failing triple) and brute-force expansion for
 the structure search (same rows, same order).  The law checks prove a valid
 table valid on its additive generators; the structural tests below pin that
 they do so without scanning triples."""
@@ -18,6 +19,14 @@ from hypothesis import strategies as st
 
 from ringcent import kernels, rings
 from ringcent.enumeration import _search_inputs
+from ringcent.errors import (
+    BadIdentityConvention,
+    NoAdditiveInverse,
+    NonAbelianAddition,
+    NotAssociative,
+    NotDistributive,
+    ValidationError,
+)
 from ringcent.groups import coeff_vectors
 from ringcent.gallery import (
     default_gallery,
@@ -37,40 +46,53 @@ def naive_add_check(A):
     n = len(A)
     for j in range(n):
         if A[0][j] != j:
-            return kernels.BAD_IDENTITY, 0, j, -1
+            raise BadIdentityConvention(
+                f"element 0 is not the additive identity: add[0][{j}] != {j}")
     for i in range(n):
         if A[i][0] != i:
-            return kernels.BAD_IDENTITY, i, 0, -1
+            raise BadIdentityConvention(
+                f"element 0 is not the additive identity: add[{i}][0] != {i}")
     for i in range(n):
         for j in range(i + 1, n):
             if A[i][j] != A[j][i]:
-                return kernels.NONCOMMUTATIVE_ADD, i, j, -1
+                raise NonAbelianAddition(f"add[{i}][{j}] != add[{j}][{i}]")
     for i, j, k in itertools.product(range(n), repeat=3):
         if A[A[i][j]][k] != A[i][A[j][k]]:
-            return kernels.NONASSOCIATIVE_ADD, i, j, k
+            raise NonAbelianAddition(
+                f"addition not associative at triple ({i}, {j}, {k})")
     for i in range(n):
         if 0 not in A[i]:
-            return kernels.NO_INVERSE, i, -1, -1
-    return kernels.OK, -1, -1, -1
+            raise NoAdditiveInverse(f"element {i} has no additive inverse")
 
 
 def naive_mul_assoc(M):
     n = len(M)
     for i, j, k in itertools.product(range(n), repeat=3):
         if M[M[i][j]][k] != M[i][M[j][k]]:
-            return kernels.NONASSOCIATIVE_MUL, i, j, k
-    return kernels.OK, -1, -1, -1
+            raise NotAssociative(
+                f"multiplication not associative at triple ({i}, {j}, {k})")
 
 
 def naive_distrib(A, M):
     n = len(A)
     for i, j, k in itertools.product(range(n), repeat=3):
         if M[i][A[j][k]] != A[M[i][j]][M[i][k]]:
-            return kernels.NONDISTRIBUTIVE_LEFT, i, j, k
+            raise NotDistributive(
+                f"left distributivity fails at triple ({i}, {j}, {k})")
     for i, j, k in itertools.product(range(n), repeat=3):
         if M[A[i][j]][k] != A[M[i][k]][M[j][k]]:
-            return kernels.NONDISTRIBUTIVE_RIGHT, i, j, k
-    return kernels.OK, -1, -1, -1
+            raise NotDistributive(
+                f"right distributivity fails at triple ({i}, {j}, {k})")
+
+
+def outcome(check, *tables):
+    """"ok" if check(*tables) returns None, else "<Class>: <message>" of the
+    ValidationError it raises."""
+    try:
+        assert check(*tables) is None
+    except ValidationError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
 
 
 BASES = [modular_ring(n) for n in range(2, 7)] + [
@@ -99,23 +121,24 @@ def perturbed(draw, table):
 @given(perturbed("add"))
 def test_add_check_matches_naive_triple_loop(case):
     _, A = case
-    assert kernels.add_table_check(A) == naive_add_check(A.tolist())
+    assert outcome(kernels.add_table_check, A) == outcome(naive_add_check,
+                                                          A.tolist())
 
 
 @settings(max_examples=300, deadline=None)
 @given(perturbed("mul"))
 def test_mul_assoc_check_matches_naive_triple_loop(case):
     ring, M = case
-    assert kernels.mul_assoc_check(ring.add, M) == naive_mul_assoc(M.tolist())
+    assert outcome(kernels.mul_assoc_check, ring.add, M) == outcome(
+        naive_mul_assoc, M.tolist())
 
 
 @settings(max_examples=300, deadline=None)
 @given(perturbed("mul"))
 def test_distrib_check_matches_naive_triple_loop(case):
     ring, M = case
-    assert kernels.distrib_check(ring.add, M) == naive_distrib(
-        ring.add.tolist(), M.tolist()
-    )
+    assert outcome(kernels.distrib_check, ring.add, M) == outcome(
+        naive_distrib, ring.add.tolist(), M.tolist())
 
 
 @st.composite
@@ -136,8 +159,10 @@ def perturbed_pair(draw):
 @given(perturbed_pair())
 def test_mul_checks_match_naive_loops_over_any_addition_table(case):
     A, M = case
-    assert kernels.mul_assoc_check(A, M) == naive_mul_assoc(M.tolist())
-    assert kernels.distrib_check(A, M) == naive_distrib(A.tolist(), M.tolist())
+    assert outcome(kernels.mul_assoc_check, A, M) == outcome(naive_mul_assoc,
+                                                             M.tolist())
+    assert outcome(kernels.distrib_check, A, M) == outcome(
+        naive_distrib, A.tolist(), M.tolist())
 
 
 def closure(A, seed):
@@ -183,16 +208,17 @@ def bilinear(draw):
 @given(bilinear())
 def test_mul_assoc_check_matches_naive_loop_on_distributive_tables(case):
     A, M = case
-    assert kernels.distrib_check(A, M) == (kernels.OK, -1, -1, -1)
-    assert kernels.mul_assoc_check(A, M) == naive_mul_assoc(M.tolist())
+    assert outcome(kernels.distrib_check, A, M) == "ok"
+    assert outcome(kernels.mul_assoc_check, A, M) == outcome(naive_mul_assoc,
+                                                             M.tolist())
 
 
 def test_order_one_ring_is_generated_by_its_zero():
     A = M = np.zeros((1, 1), dtype=np.int64)
     assert kernels._generators(A).tolist() == [0]
-    assert kernels.add_table_check(A) == (kernels.OK, -1, -1, -1)
-    assert kernels.mul_assoc_check(A, M) == (kernels.OK, -1, -1, -1)
-    assert kernels.distrib_check(A, M) == (kernels.OK, -1, -1, -1)
+    assert outcome(kernels.add_table_check, A) == "ok"
+    assert outcome(kernels.mul_assoc_check, A, M) == "ok"
+    assert outcome(kernels.distrib_check, A, M) == "ok"
 
 
 def test_zero_ring_on_z2_to_the_4_is_proved_on_four_additive_generators():
@@ -201,13 +227,15 @@ def test_zero_ring_on_z2_to_the_4_is_proved_on_four_additive_generators():
     A = group_add_table((2, 2, 2, 2))
     M = np.zeros_like(A)
     assert kernels._generators(A).tolist() == [1, 2, 4, 8]
-    assert kernels.add_table_check(A) == (kernels.OK, -1, -1, -1)
-    assert kernels.mul_assoc_check(A, M) == (kernels.OK, -1, -1, -1)
-    assert kernels.distrib_check(A, M) == (kernels.OK, -1, -1, -1)
+    assert outcome(kernels.add_table_check, A) == "ok"
+    assert outcome(kernels.mul_assoc_check, A, M) == "ok"
+    assert outcome(kernels.distrib_check, A, M) == "ok"
     M[3, 5] = 6
-    assert kernels.mul_assoc_check(A, M) == naive_mul_assoc(M.tolist())
-    assert kernels.distrib_check(A, M) == naive_distrib(A.tolist(), M.tolist())
-    assert kernels.distrib_check(A, M)[0] == kernels.NONDISTRIBUTIVE_LEFT
+    assert outcome(kernels.mul_assoc_check, A, M) == outcome(naive_mul_assoc,
+                                                             M.tolist())
+    got = outcome(kernels.distrib_check, A, M)
+    assert got == outcome(naive_distrib, A.tolist(), M.tolist())
+    assert got.startswith("NotDistributive: left distributivity fails")
 
 
 def _no_scan(*args):
@@ -227,51 +255,53 @@ def test_valid_rings_are_validated_without_a_triple_scan(monkeypatch):
 def test_add_check_accepts_group_tables():
     for factors in [(2,), (6,), (2, 4), (3, 3)]:
         A = group_add_table(factors)
-        assert kernels.add_table_check(A) == (kernels.OK, -1, -1, -1)
+        assert outcome(kernels.add_table_check, A) == "ok"
 
 
 def test_add_check_identity_failure():
     A = group_add_table((4,)).copy()
     A[0, 2] = 3
-    assert kernels.add_table_check(A) == (kernels.BAD_IDENTITY, 0, 2, -1)
+    assert outcome(kernels.add_table_check, A) == (
+        "BadIdentityConvention: element 0 is not the additive identity: "
+        "add[0][2] != 2")
 
 
 def test_add_check_symmetry_failure_names_first_pair():
     A = group_add_table((5,)).copy()
     A[1, 3] = 0  # breaks symmetry (and more); symmetry is checked first
-    assert kernels.add_table_check(A) == (kernels.NONCOMMUTATIVE_ADD, 1, 3, -1)
+    assert outcome(kernels.add_table_check, A) == (
+        "NonAbelianAddition: add[1][3] != add[3][1]")
 
 
 def test_add_check_associativity_failure():
     A = group_add_table((5,)).copy()
     A[1, 1] = 3  # diagonal change keeps symmetry and identity, breaks assoc
-    assert kernels.add_table_check(A) == (kernels.NONASSOCIATIVE_ADD, 1, 1, 2)
+    assert outcome(kernels.add_table_check, A) == (
+        "NonAbelianAddition: addition not associative at triple (1, 1, 2)")
 
 
 def test_mul_and_distrib_checks_agree_on_real_rings():
     for ring in [modular_ring(12), row_ring(3)]:
-        assert kernels.mul_assoc_check(ring.add, ring.mul) == (
-            kernels.OK, -1, -1, -1)
-        assert kernels.distrib_check(ring.add, ring.mul) == (
-            kernels.OK, -1, -1, -1)
+        assert outcome(kernels.mul_assoc_check, ring.add, ring.mul) == "ok"
+        assert outcome(kernels.distrib_check, ring.add, ring.mul) == "ok"
 
 
 def test_mul_assoc_first_failure_triple_matches():
     ring = modular_ring(6)
     M = ring.mul.copy()
     M[2, 3] = 1
-    got = kernels.mul_assoc_check(ring.add, M)
-    assert got[0] == kernels.NONASSOCIATIVE_MUL
-    assert got == naive_mul_assoc(M.tolist())
+    got = outcome(kernels.mul_assoc_check, ring.add, M)
+    assert got.startswith("NotAssociative: ")
+    assert got == outcome(naive_mul_assoc, M.tolist())
 
 
 def test_distrib_first_failure_triple_matches():
     ring = modular_ring(6)
     M = ring.mul.copy()
     M[2, 3] = 1
-    got = kernels.distrib_check(ring.add, M)
-    assert got[0] in (kernels.NONDISTRIBUTIVE_LEFT, kernels.NONDISTRIBUTIVE_RIGHT)
-    assert got == naive_distrib(ring.add.tolist(), M.tolist())
+    got = outcome(kernels.distrib_check, ring.add, M)
+    assert got.startswith("NotDistributive: ")
+    assert got == outcome(naive_distrib, ring.add.tolist(), M.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -312,22 +342,23 @@ ONE_SIDED = {
 @pytest.mark.parametrize("name", list(ONE_SIDED))
 def test_one_sided_proof_matches_naive_loops(name):
     A, M = ONE_SIDED[name]
-    want = [naive_add_check(A.tolist()), naive_mul_assoc(M.tolist()),
-            naive_distrib(A.tolist(), M.tolist())]
-    assert [kernels.add_table_check(A), kernels.mul_assoc_check(A, M),
-            kernels.distrib_check(A, M)] == want
-    code, i, j, k = next(w for w in want if w[0] != kernels.OK)
-    error, message = rings._LAW_FAILURES[code]
-    at = f" at triple ({i}, {j}, {k})" if k >= 0 else ""
-    with pytest.raises(error) as exc:
+    want = [outcome(naive_add_check, A.tolist()),
+            outcome(naive_mul_assoc, M.tolist()),
+            outcome(naive_distrib, A.tolist(), M.tolist())]
+    got = [outcome(kernels.add_table_check, A),
+           outcome(kernels.mul_assoc_check, A, M),
+           outcome(kernels.distrib_check, A, M)]
+    assert got == want
+    with pytest.raises(ValidationError) as exc:
         rings.validate(rings.FiniteRing(A, M))
-    assert str(exc.value) == message.format(i=i, j=j, top=max(i, j)) + at
+    first = next(w for w in got if w != "ok")
+    assert f"{type(exc.value).__name__}: {exc.value}" == first
 
 
 def test_one_sided_cases_reach_each_branch():
-    left, right = kernels.NONDISTRIBUTIVE_LEFT, kernels.NONDISTRIBUTIVE_RIGHT
-    kinds = {name: kernels.distrib_check(*ONE_SIDED[name])[0]
-             for name in ONE_SIDED}
+    left, right = "NotDistributive: left", "NotDistributive: right"
+    kinds = {name: outcome(kernels.distrib_check, *ONE_SIDED[name]).split(
+        " distributivity")[0] for name in ONE_SIDED}
     assert kinds == {"x y^2 on Z_5": left, "x^2 y on Z_5": right,
                      "x on Z_5": left, "y on Z_5": right, "S_3": left}
     A, M = ONE_SIDED["S_3"]
@@ -345,24 +376,31 @@ def test_every_generator_slab_is_proved(monkeypatch, cells):
     for i, j, v in itertools.product(range(8), range(8), (1, 6)):
         A, M = A0.copy(), M0.copy()
         M[i, j] = v
-        assert kernels.mul_assoc_check(A, M) == naive_mul_assoc(M.tolist())
-        assert kernels.distrib_check(A, M) == naive_distrib(A.tolist(), M.tolist())
+        assert outcome(kernels.mul_assoc_check, A, M) == outcome(
+            naive_mul_assoc, M.tolist())
+        assert outcome(kernels.distrib_check, A, M) == outcome(
+            naive_distrib, A.tolist(), M.tolist())
         A[i, j] = A[j, i] = v
-        assert kernels.add_table_check(A) == naive_add_check(A.tolist())
+        assert outcome(kernels.add_table_check, A) == outcome(
+            naive_add_check, A.tolist())
 
 
 def test_a_table_changed_in_place_is_proved_again():
     ring = modular_ring(5)
     A, M = ring.add.copy(), ring.mul.copy()
-    assert kernels.mul_assoc_check(A, M) == (kernels.OK, -1, -1, -1)
-    assert kernels.distrib_check(A, M) == (kernels.OK, -1, -1, -1)
+    assert outcome(kernels.mul_assoc_check, A, M) == "ok"
+    assert outcome(kernels.distrib_check, A, M) == "ok"
     M[2, 3] = 1
-    assert kernels.mul_assoc_check(A, M) == naive_mul_assoc(M.tolist())
-    assert kernels.distrib_check(A, M) == naive_distrib(A.tolist(), M.tolist())
-    assert kernels.add_table_check(A) == (kernels.OK, -1, -1, -1)
+    assert outcome(kernels.mul_assoc_check, A, M) == outcome(naive_mul_assoc,
+                                                             M.tolist())
+    assert outcome(kernels.distrib_check, A, M) == outcome(
+        naive_distrib, A.tolist(), M.tolist())
+    assert outcome(kernels.add_table_check, A) == "ok"
     A[1, 1] = 3
-    assert kernels.add_table_check(A) == (kernels.NONASSOCIATIVE_ADD, 1, 1, 2)
-    assert kernels.distrib_check(A, M) == naive_distrib(A.tolist(), M.tolist())
+    assert outcome(kernels.add_table_check, A) == (
+        "NonAbelianAddition: addition not associative at triple (1, 1, 2)")
+    assert outcome(kernels.distrib_check, A, M) == outcome(
+        naive_distrib, A.tolist(), M.tolist())
 
 
 def test_one_validate_proves_each_table_once_and_keeps_no_memo(monkeypatch):

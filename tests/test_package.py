@@ -18,19 +18,29 @@ def test_every_export_is_defined_once_and_star_imports():
 
 
 def test_every_module_level_definition_is_named_in_the_package():
-    # a helper no code of the package names is dead weight; tests and the
-    # benchmark do not count as callers
+    # a helper or constant no code of the package names is dead weight;
+    # tests and the benchmark do not count as callers, nor does the target
+    # of an assignment, and dunders such as __all__ are exempt
     trees = [ast.parse(path.read_text())
              for path in sorted(Path(ringcent.__file__).parent.glob("*.py"))]
     named = set()
     for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name)
-    defined = [node.name for tree in trees for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    defined = []
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            defined += [t.id for target in targets for t in ast.walk(target)
+                        if isinstance(t, ast.Name)]
+    defined = [name for name in defined
+               if not (name.startswith("__") and name.endswith("__"))]
     assert [name for name in defined if name not in named] == []
