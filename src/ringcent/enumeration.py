@@ -520,12 +520,17 @@ def read_catalog(path) -> IsoClassCatalog:
                         f"malformed ({exc.__class__.__name__}: {exc})") from None
     if not doc.get("complete"):
         raise PartialUniverse(f"catalog at {path} is incomplete")
-    if doc.get("classes") != len(files):
+    classes, raw_total = doc.get("classes"), doc.get("raw_total")
+    for field, value in (("classes", classes), ("raw_total", raw_total)):
+        if type(value) is not int:
+            raise RingError(f"catalog at {path}: manifest.json {field} is "
+                            f"{json.dumps(value)}, not an integer")
+    if classes != len(files):
         raise RingError(f"catalog at {path}: manifest.json counts "
-                        f"{doc.get('classes')} classes but lists {len(files)} rings")
-    if doc.get("raw_total") != sum(per_type.values()):
+                        f"{classes} classes but lists {len(files)} rings")
+    if raw_total != sum(per_type.values()):
         raise RingError(f"catalog at {path}: manifest.json counts "
-                        f"{doc.get('raw_total')} raw rings but its per_type_raw "
+                        f"{raw_total} raw rings but its per_type_raw "
                         f"sums to {sum(per_type.values())}")
     return IsoClassCatalog(order, [validate(RingSpec.load(file)) for file in files],
                            per_type)

@@ -14,19 +14,21 @@ import numpy as np
 
 from .errors import NotOddPrime, NotPrime, RingError, TooLarge
 from .groups import is_prime
-from .rings import MAX_ORDER, FiniteRing, structure_tables, validate
+from .rings import MAX_ORDER, FiniteRing, RingSpec, validate
 
 
 def _from_constants(factors, products, label) -> FiniteRing:
     """The validated ring on Z_{d1} x ... x Z_{dk} whose generator products
     are `products`, the k*k coefficient vectors of g_i g_j in row-major
-    order (i, j).  Every construction's size cap is here."""
+    order (i, j).  It is validated as a structure-constant spec, so its
+    generator products prove it, as they prove a spec file's ring.  Every
+    construction's size cap is here."""
     n = math.prod(factors)
     if n > MAX_ORDER:
         raise TooLarge(f"{label} has order {n} > {MAX_ORDER}")
     k = len(factors)
     constants = np.reshape(np.asarray(products, dtype=np.int64), (k, k, k))
-    return validate(FiniteRing(*structure_tables(factors, constants), label))
+    return validate(RingSpec.structure(factors, constants, label))
 
 
 @lru_cache(maxsize=None)

@@ -8,11 +8,14 @@ additive generators, which proves it for every triple, and scan triples only
 to find the first failure of a table that is not a ring, which they raise
 as its law's ValidationError; validate runs the three checks in order and
 lets the first raise pass, proving each table's generators once
-(kernels.shared_proofs).  Two kinds of ring are proved without the kernels:
-a direct product of two proved rings (gallery.direct_product), and a class
-enumerate_rings builds from its own search (enumeration._orbit_classes).
-validate on a FiniteRing always proves again; any other new FiniteRing, from
-the constructor, relabel or opposite, is unproved.
+(kernels.shared_proofs).  Two kinds of ring are proved without the kernels.
+A structure-constant ring, whether a RingSpec.structure, a gallery
+construction or a class enumerate_rings builds from its own search, is
+proved on its k^3 generator triples: validate checks them
+(_constants_make_ring), and the search imposes them.  A direct product of
+two proved rings (gallery.direct_product) inherits the proof.  validate on
+a FiniteRing always proves again; any other new FiniteRing, from the
+constructor, relabel or opposite, is unproved.
 """
 
 import itertools
@@ -61,16 +64,21 @@ class ElementSet:
 def additive_orders(add: np.ndarray) -> np.ndarray:
     """Order of every element of the group with Cayley table `add`: all
     elements walk y -> y + x at once, and an element leaves the walk when
-    its y reaches 0."""
+    its y reaches 0.  In a group of order n every element has left after
+    n - 1 steps; an element still walking then, on a table that is no
+    group, is a ValidationError naming it."""
     n = add.shape[0]
     y = np.arange(n)
     out = np.ones(n, dtype=np.int64)
     live = np.flatnonzero(y)
-    while live.size:
+    for _ in range(n):
+        if not live.size:
+            return out
         y[live] = add[y[live], live]
         out[live] += 1
         live = live[y[live] != 0]
-    return out
+    raise ValidationError(f"element {live[0]} has no additive order: "
+                          f"its multiples never reach 0")
 
 
 class FiniteRing:
@@ -334,7 +342,8 @@ def _int_array(value, what: str) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
-def _expand_structure(spec: RingSpec) -> tuple[np.ndarray, np.ndarray]:
+def _structure_constants(spec: RingSpec) -> tuple[tuple[int, ...], np.ndarray]:
+    """The generator orders and (k, k, k) constants of a structure spec."""
     group = _int_array(spec.group, "group")
     if group.ndim != 1:
         raise ValidationError("group must be a list of integer generator orders")
@@ -350,7 +359,29 @@ def _expand_structure(spec: RingSpec) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(
             f"mul_constants must be {k}x{k} coefficient vectors of length {k}"
         )
-    return structure_tables(factors, C)
+    return factors, C
+
+
+def _constants_make_ring(factors: tuple[int, ...], constants: np.ndarray) -> bool:
+    """True iff the tables structure_tables(factors, constants) make a ring,
+    decided on the k*k generator products alone.
+
+    The expansion is bilinear, and so distributes on both sides, exactly
+    when each g_i g_j lies in the gcd(d_i, d_j)-torsion: a product with
+    d_j g_i g_j != 0 breaks g_i ((d_j - 1) g_j + g_j) = g_i 0, and likewise
+    on the right.  A bilinear product is associative exactly when
+    (g_a g_b) g_c = g_a (g_b g_c) for all k^3 generator triples, since both
+    sides are trilinear.  These are the constraints structure_search imposes;
+    the addition table is a group by construction.
+    """
+    d = np.array(factors, dtype=np.int64)
+    C = constants % d  # coefficient m mod d_m
+    if (np.gcd.outer(d, d)[:, :, None] * C % d).any():
+        return False
+    # (g_a g_b) g_c = sum_m C[a,b,m] g_m g_c, g_a (g_b g_c) = sum_m C[b,c,m] g_a g_m
+    left = np.einsum("abm,mcn->abcn", C, C) % d
+    right = np.einsum("bcm,amn->abcn", C, C) % d
+    return bool(np.array_equal(left, right))
 
 
 def validate(spec) -> FiniteRing:
@@ -358,11 +389,15 @@ def validate(spec) -> FiniteRing:
 
     Accepts a RingSpec (either form), a parsed JSON dict, or a FiniteRing
     whose tables should be (re)checked; a FiniteRing's arrays are checked as
-    they are.  Raises the specific law violation, as the first law check to
-    fail raises it, naming the first failing triple in scan order.
+    they are.  A structure-constant spec is proved on its generator products
+    (_constants_make_ring); explicit tables, a FiniteRing, and constants
+    that make no ring go through the three law kernels.  Raises the specific
+    law violation, as the first law check to fail raises it, naming the
+    first failing triple in scan order.
     """
     if isinstance(spec, dict):
         spec = RingSpec.from_json(spec)
+    proved = False
     if isinstance(spec, FiniteRing):
         add, mul = spec.add, spec.mul
     elif spec.is_explicit:
@@ -376,7 +411,9 @@ def validate(spec) -> FiniteRing:
                 f"declared order {spec.order} != table size {add.shape[0]}"
             )
     else:
-        add, mul = _expand_structure(spec)
+        factors, constants = _structure_constants(spec)
+        add, mul = structure_tables(factors, constants)
+        proved = _constants_make_ring(factors, constants)
     n = add.shape[0]
     if n > MAX_ORDER:
         raise TooLarge(f"order {n} exceeds the ceiling of {MAX_ORDER}")
@@ -390,10 +427,11 @@ def validate(spec) -> FiniteRing:
                 f"outside 0..{n - 1}"
             )
 
-    with kernels.shared_proofs():  # each check raises the law it breaks
-        kernels.add_table_check(add)
-        kernels.mul_assoc_check(add, mul)
-        kernels.distrib_check(add, mul)
+    if not proved:
+        with kernels.shared_proofs():  # each check raises the law it breaks
+            kernels.add_table_check(add)
+            kernels.mul_assoc_check(add, mul)
+            kernels.distrib_check(add, mul)
 
     ring = FiniteRing(add, mul, spec.label)
     ring.proved = True

@@ -201,6 +201,23 @@ def test_malformed_input_is_one_error_line_and_exit_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("classes", 1.0), ("classes", True), ("raw_total", 1.0), ("raw_total", True)])
+def test_manifest_counts_must_be_json_integers(tmp_path, capsys, field, value):
+    # the order-1 catalog has 1 class and 1 raw ring, which 1.0 and true equal
+    enumerate_rings(1, out_dir=str(tmp_path))
+    manifest = tmp_path / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc[field] = value
+    manifest.write_text(json.dumps(doc))
+    code = main(["verify", "--universe", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [
+        f"error: RingError: catalog at {tmp_path}: manifest.json {field} is "
+        f"{json.dumps(value)}, not an integer"]
+
+
 def test_catalog_universe_above_the_cap_fails_before_searching(capsys):
     start = time.monotonic()
     code = main(["verify", "--universe", "catalog:17"])

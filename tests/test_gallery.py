@@ -273,6 +273,26 @@ def test_product_of_proved_rings_runs_no_law_kernel(monkeypatch):
         validate(P)  # validate on a FiniteRing always proves again
 
 
+def test_a_structure_constant_ring_runs_no_law_kernel(monkeypatch):
+    from ringcent import kernels
+
+    def refuse(*tables):
+        raise AssertionError("a law kernel ran on a structure-constant ring")
+
+    for name in ("add_table_check", "mul_assoc_check", "distrib_check"):
+        monkeypatch.setattr(kernels, name, refuse)
+    # the gallery's constructions and a structure spec, proved on their
+    # generator products; __wrapped__ builds past the constructors' caches
+    Q = quaternion_ring.__wrapped__(3)
+    T = upper_triangular_ring.__wrapped__(5)
+    S = validate({"group": [2, 2], "mul_constants": [[[1, 0], [0, 1]],
+                                                     [[0, 0], [0, 0]]]})
+    assert Q.proved and T.proved and S.proved
+    assert np.array_equal(S.mul, row_ring(2).mul)
+    with pytest.raises(AssertionError, match="law kernel ran"):
+        validate(Q)  # validate on a FiniteRing always proves again
+
+
 def test_product_of_a_forced_mutant_names_the_first_failing_triple():
     R = row_ring(2)
     mul = R.mul.copy()

@@ -1,6 +1,11 @@
 """Ring-core: validation, element sets, and additive-subgroup algebra."""
 
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,17 +23,22 @@ from ringcent import (
     NotDistributive,
     RingSpec,
     TooLarge,
+    ValidationError,
     is_subring,
     validate,
 )
 from ringcent import groups, rings
+from ringcent.enumeration import _constants, raw_structures
 from ringcent.gallery import direct_product, modular_ring, row_ring
 from ringcent.rings import (
     additive_subgroups,
     is_additive_subgroup,
     load_ring,
+    structure_tables,
     subrings,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_zero_ring_of_order_one():
@@ -164,12 +174,86 @@ def test_structure_constant_spec_expands_to_z4():
     assert np.array_equal(ring.mul, modular_ring(4).mul)
 
 
+def _kernel_outcome(add, mul, label=None):
+    """validate on explicit tables: (ring, None) or (None, (class, message))."""
+    try:
+        return validate(FiniteRing(add, mul, label)), None
+    except ValidationError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _spec_outcome(factors, constants, label=None):
+    try:
+        return validate(RingSpec.structure(factors, constants, label)), None
+    except ValidationError as exc:
+        return None, (type(exc), str(exc))
+
+
 def test_structure_constant_incompatible_orders_fail_distributivity():
     # Z_2 x Z_4 with g1*g1 = g2 (order 4 > ord(g1) = 2): not biadditive
     spec = {"group": [2, 4],
             "mul_constants": [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]}
-    with pytest.raises(NotDistributive):
+    with pytest.raises(NotDistributive) as info:
         validate(spec)
+    # the same message as the kernels give on the expanded tables
+    tables = structure_tables((2, 4), spec["mul_constants"])
+    assert _kernel_outcome(*tables)[1] == (NotDistributive, str(info.value))
+
+
+CONSTANT_GROUPS = [(4,), (2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 6)]
+
+
+@st.composite
+def generator_products(draw):
+    """Constants of a searched ring of one of CONSTANT_GROUPS, with up to
+    three products overwritten by any vector of coefficients in [-d, 2d):
+    rings, ill-defined products outside the gcd torsion and non-associative
+    ones all occur."""
+    factors = draw(st.sampled_from(CONSTANT_GROUPS))
+    rows = raw_structures(factors)
+    C = _constants(factors, rows[draw(st.integers(0, len(rows) - 1))]).copy()
+    k = len(factors)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        C[i, j] = [draw(st.integers(-d, 2 * d - 1)) for d in factors]
+    return factors, C
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_products())
+def test_the_constants_prove_a_ring_exactly_when_the_kernels_do(case):
+    factors, C = case
+    ring, error = _kernel_outcome(*structure_tables(factors, C))
+    assert rings._constants_make_ring(factors, C) == (error is None)
+    # and validate on the spec gives the kernels' ring or their error
+    spec_ring, spec_error = _spec_outcome(factors, C)
+    assert spec_error == error
+    if ring is not None:
+        assert spec_ring.proved
+        assert np.array_equal(spec_ring.add, ring.add)
+        assert np.array_equal(spec_ring.mul, ring.mul)
+
+
+def test_the_constants_prove_a_ring_exactly_when_the_kernels_do_on_z2_z4():
+    # every one of the 8**4 assignments of generator products on Z_2 x Z_4,
+    # where the gcd(2, 4) torsion differs from the 4-torsion
+    factors = (2, 4)
+    cv = groups.coeff_vectors(factors)
+    proved = []
+    for cells in itertools.product(range(8), repeat=4):
+        C = cv[list(cells)].reshape(2, 2, 2)
+        _, error = _kernel_outcome(*structure_tables(factors, C))
+        assert rings._constants_make_ring(factors, C) == (error is None), cells
+        proved.append(error is None)
+    assert sum(proved) == raw_structures(factors).shape[0]
+
+
+def test_a_non_associative_structure_spec_raises_as_its_tables_do():
+    # Z_2^2 with g1 g1 = g2 and g2 g1 = g1: (g1 g1) g1 = g1, g1 (g1 g1) = 0
+    factors, constants = (2, 2), [[[0, 1], [0, 0]], [[1, 0], [0, 0]]]
+    _, error = _kernel_outcome(*structure_tables(factors, constants), "spec")
+    assert error is not None and error[0] is NotAssociative
+    assert _spec_outcome(factors, constants, "spec") == (None, error)
 
 
 def test_round_trip_explicit_spec():
@@ -179,6 +263,31 @@ def test_round_trip_explicit_spec():
     assert np.array_equal(again.add, ring.add)
     assert np.array_equal(again.mul, ring.mul)
     assert again.label == ring.label
+
+
+NO_GROUP_WALK = """
+import numpy as np
+from ringcent import FiniteRing, ValidationError, analyze, classify_additive
+# 1 + 1 = 1 and 2 + 2 = 2: no multiple of 1 or 2 is 0
+R = FiniteRing(np.array([[0, 1, 2], [1, 1, 1], [2, 1, 2]]), np.zeros((3, 3)))
+for walk in (R.additive_orders, lambda: classify_additive(R),
+             lambda: analyze(R).additive_type):
+    try:
+        walk()
+    except ValidationError as exc:
+        print(exc)
+"""
+
+
+def test_additive_orders_stop_on_a_table_whose_multiples_never_reach_0():
+    # in a subprocess, so that a walk that never ends fails on the timeout
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NO_GROUP_WALK],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    message = "element 1 has no additive order: its multiples never reach 0"
+    assert proc.stdout.splitlines() == [message] * 3
 
 
 def test_element_set_canonical():
