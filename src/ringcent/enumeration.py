@@ -24,12 +24,13 @@ import numpy as np
 from . import groups, kernels
 from .abelian import classify_additive
 # unused here; perfbench/test_perfbench.py checks that its tracer restores
-# enumeration.cent_set (ROADMAP item 7 drops both)
+# enumeration.cent_set (ROADMAP item 2 drops both)
 from .centralizers import cent_set  # noqa: F401
 from .errors import PartialUniverse, RingError, TooLarge, ValidationError
 from .rings import (
     FiniteRing,
     RingSpec,
+    _constants_make_ring,
     _int_array,
     _multiples,
     structure_tables,
@@ -251,16 +252,16 @@ def _orbit_classes(factors: tuple[int, ...], rows: np.ndarray) -> list[np.ndarra
     the group rather than give a wrong catalog.  The last two make the sum
     of |Aut(G)| / |Stab| over the classes equal the row count.
 
-    On the search's rows each class is a proved ring: the search proved
-    associativity on the generators, and the bilinear expansion carries it
-    to every triple and distributes.
+    One _constants_make_ring call proves the orbits' first rows, whose images
+    are all the rows and classes; validate raises on a class it fails.
     """
     index = {row.tobytes(): i for i, row in enumerate(rows)}
     seen = np.zeros(rows.shape[0], dtype=bool)
-    classes = []
+    classes, firsts = [], []
     for i, row in enumerate(rows):
         if seen[i]:
             continue
+        firsts.append(i)
         _, mul = structure_tables(factors, _constants(factors, row))
         least, images = _transports(factors, mul)
         orbit = [index.get(image.tobytes(), -1) for image in images]
@@ -279,6 +280,9 @@ def _orbit_classes(factors: tuple[int, ...], rows: np.ndarray) -> list[np.ndarra
             f"group {list(factors)}: the automorphism orbits cover {seen.sum()} "
             f"structures, but the search gave {rows.shape[0]} rows"
         )
+    proved = _constants_make_ring(factors, _constants(factors, rows[firsts]))
+    for i in np.flatnonzero(~proved):
+        validate(FiniteRing(_min_group_table(factors)[0], classes[i]))
     return classes
 
 
@@ -347,9 +351,8 @@ def enumerate_rings(n: int, out_dir: Optional[str] = None,
     least transported multiplication over the minimal group table, read from
     the same _transports call that gives the orbit, so the tables
     canonical_form gives.  The classes are numbered type by type in
-    groups.abelian_group_types order.  The classes of a type searched in
-    this run are marked proved, keeping the search's proof; those of a type
-    read from a part file, input like any other, are validated.
+    groups.abelian_group_types order.  Every class, searched or resumed, is
+    proved on its orbit's first generator products (_orbit_classes).
 
     The search is bounded by a wall-clock deadline time_budget() from the
     start; a search still running at the deadline raises PartialUniverse,
@@ -380,7 +383,6 @@ def enumerate_rings(n: int, out_dir: Optional[str] = None,
 
     types = groups.abelian_group_types(n)
     raw_rows: dict[tuple[int, ...], np.ndarray] = {}
-    searched: set[tuple[int, ...]] = set()
     type_log: dict[tuple[int, ...], dict] = {}
     for factors in sorted(types, key=len):  # fewest generators first
         name = f"t{_type_key(factors)}.json"
@@ -391,7 +393,6 @@ def enumerate_rings(n: int, out_dir: Optional[str] = None,
             except PartialUniverse as exc:
                 raise _stopped(exc, f"{len(raw_rows)} of {len(types)} group "
                                "types", start, budget) from None
-            searched.add(factors)
             if out_path:
                 _save_part(out_path, name, factors, rows)
         raw_rows[factors] = rows
@@ -407,9 +408,8 @@ def enumerate_rings(n: int, out_dir: Optional[str] = None,
     for factors in types:
         table = _min_group_table(factors)[0]
         for cmul in _orbit_classes(factors, raw_rows[factors]):
-            ring = FiniteRing(table, cmul, f"o{n}_c{len(reps):03d}")
-            ring.proved = factors in searched  # else its rows are file input
-            reps.append(ring if ring.proved else validate(ring))
+            reps.append(FiniteRing(table, cmul, f"o{n}_c{len(reps):03d}"))
+            reps[-1].proved = True  # by _orbit_classes
     catalog = IsoClassCatalog(
         n, reps, {factors: raw_rows[factors].shape[0] for factors in types})
     _flush_manifest(out_path, n, [type_log[factors] for factors in types],
@@ -532,8 +532,14 @@ def read_catalog(path) -> IsoClassCatalog:
         raise RingError(f"catalog at {path}: manifest.json counts "
                         f"{raw_total} raw rings but its per_type_raw "
                         f"sums to {sum(per_type.values())}")
-    return IsoClassCatalog(order, [validate(RingSpec.load(file)) for file in files],
-                           per_type)
+    last = {file: i for i, file in enumerate(files)}  # a repeat maps to its last copy
+    reps = [validate(RingSpec.load(file)) for file in files]
+    for i, (file, ring) in enumerate(zip(files, reps)):
+        if last[file] != i or ring.order != order:
+            raise RingError(f"catalog at {path}: {file.relative_to(path)} " + (
+                "is listed twice" if last[file] != i else
+                f"holds a ring of order {ring.order}, not {order}"))
+    return IsoClassCatalog(order, reps, per_type)
 
 
 # ---------------------------------------------------------------------------

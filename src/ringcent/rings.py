@@ -10,12 +10,12 @@ as its law's ValidationError; validate runs the three checks in order and
 lets the first raise pass, proving each table's generators once
 (kernels.shared_proofs).  Two kinds of ring are proved without the kernels.
 A structure-constant ring, whether a RingSpec.structure, a gallery
-construction or a class enumerate_rings builds from its own search, is
-proved on its k^3 generator triples: validate checks them
-(_constants_make_ring), and the search imposes them.  A direct product of
-two proved rings (gallery.direct_product) inherits the proof.  validate on
-a FiniteRing always proves again; any other new FiniteRing, from the
-constructor, relabel or opposite, is unproved.
+construction or a catalog class, searched or resumed, is proved on its k^3
+generator triples by _constants_make_ring: validate calls it on a spec, and
+enumerate_rings on the first generator products of each class's orbit.  A
+direct product of two proved rings (gallery.direct_product) inherits the
+proof.  validate on a FiniteRing always proves again; any other new
+FiniteRing, from the constructor, relabel or opposite, is unproved.
 """
 
 import itertools
@@ -362,9 +362,9 @@ def _structure_constants(spec: RingSpec) -> tuple[tuple[int, ...], np.ndarray]:
     return factors, C
 
 
-def _constants_make_ring(factors: tuple[int, ...], constants: np.ndarray) -> bool:
-    """True iff the tables structure_tables(factors, constants) make a ring,
-    decided on the k*k generator products alone.
+def _constants_make_ring(factors: tuple[int, ...], constants) -> np.ndarray:
+    """Whether structure_tables(factors, C) makes a ring, for each (k, k, k) C
+    of a (..., k, k, k) stack, decided on its k*k generator products alone.
 
     The expansion is bilinear, and so distributes on both sides, exactly
     when each g_i g_j lies in the gcd(d_i, d_j)-torsion: a product with
@@ -376,12 +376,11 @@ def _constants_make_ring(factors: tuple[int, ...], constants: np.ndarray) -> boo
     """
     d = np.array(factors, dtype=np.int64)
     C = constants % d  # coefficient m mod d_m
-    if (np.gcd.outer(d, d)[:, :, None] * C % d).any():
-        return False
+    torsion = (np.gcd.outer(d, d)[:, :, None] * C % d == 0).all(axis=(-3, -2, -1))
     # (g_a g_b) g_c = sum_m C[a,b,m] g_m g_c, g_a (g_b g_c) = sum_m C[b,c,m] g_a g_m
-    left = np.einsum("abm,mcn->abcn", C, C) % d
-    right = np.einsum("bcm,amn->abcn", C, C) % d
-    return bool(np.array_equal(left, right))
+    left = np.einsum("...abm,...mcn->...abcn", C, C) % d
+    right = np.einsum("...bcm,...amn->...abcn", C, C) % d
+    return torsion & (left == right).all(axis=(-4, -3, -2, -1))
 
 
 def validate(spec) -> FiniteRing:
@@ -413,7 +412,7 @@ def validate(spec) -> FiniteRing:
     else:
         factors, constants = _structure_constants(spec)
         add, mul = structure_tables(factors, constants)
-        proved = _constants_make_ring(factors, constants)
+        proved = bool(_constants_make_ring(factors, constants))
     n = add.shape[0]
     if n > MAX_ORDER:
         raise TooLarge(f"order {n} exceeds the ceiling of {MAX_ORDER}")

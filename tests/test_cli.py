@@ -218,6 +218,32 @@ def test_manifest_counts_must_be_json_integers(tmp_path, capsys, field, value):
         f"{json.dumps(value)}, not an integer"]
 
 
+def test_a_catalog_ring_file_of_another_order_is_refused(tmp_path, capsys):
+    enumerate_rings(4, out_dir=str(tmp_path / "o4"))
+    enumerate_rings(2, out_dir=str(tmp_path / "o2"))
+    stray = tmp_path / "o4" / "rings" / "o4_c003.json"
+    stray.write_text((tmp_path / "o2" / "rings" / "o2_c000.json").read_text())
+    code = main(["verify", "--universe", str(tmp_path / "o4")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: RingError: catalog at {tmp_path / 'o4'}: "
+        f"{Path('rings', 'o4_c003.json')} holds a ring of order 2, not 4"]
+
+
+def test_a_catalog_ring_file_listed_twice_is_refused(tmp_path, capsys):
+    # the class count still matches the length of the list
+    enumerate_rings(4, out_dir=str(tmp_path))
+    manifest = tmp_path / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["rings"][5] = doc["rings"][2]
+    manifest.write_text(json.dumps(doc))
+    code = main(["verify", "--universe", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: RingError: catalog at {tmp_path}: "
+        f"{Path(doc['rings'][2])} is listed twice"]
+
+
 def test_catalog_universe_above_the_cap_fails_before_searching(capsys):
     start = time.monotonic()
     code = main(["verify", "--universe", "catalog:17"])
@@ -286,7 +312,8 @@ NONASSOCIATIVE_ORBIT = [[0, 0, 1, 0], [0, 0, 3, 3], [0, 2, 0, 0],
 
 def test_enumerate_resume_validates_the_rows_of_part_files(tmp_path, capsys):
     # a part file is input: an associative orbit swapped for a non-associative
-    # one of the same size passes the orbit guard, and validate rejects it
+    # one of the same size passes the orbit guard, and the class proof
+    # rejects it
     out_dir = tmp_path / "cat4"
     run_cli(capsys, "enumerate", "--order", "4", "--out", str(out_dir))
     part = out_dir / "parts" / "t2x2.json"
@@ -299,7 +326,10 @@ def test_enumerate_resume_validates_the_rows_of_part_files(tmp_path, capsys):
         enumerate_rings(4, out_dir=str(out_dir), resume=True)
     code = main(["enumerate", "--order", "4", "--out", str(out_dir), "--resume"])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: NotAssociative: ")
+    # the kernels' message on the class's canonical table, not on the raw
+    # row, whose first failing triple is (1, 2, 2)
+    assert capsys.readouterr().err.splitlines() == [
+        "error: NotAssociative: multiplication not associative at triple (2, 1, 1)"]
 
 
 def test_enumerate_resume_without_out_is_a_usage_error(capsys):

@@ -733,11 +733,11 @@ def test_orbit_classes_do_not_pin_their_transport_stacks():
         assert table.base is None or table.base.nbytes <= table.nbytes
 
 
-# --- the classes of a search keep its proof -----------------------------------
+# --- every class is proved on its generator products -------------------------
 
 
 def test_validate_accepts_every_catalog_class_unchanged(catalog):
-    # the oracle for the proof enumerate_rings carries over from the search
+    # the oracle for the generator-product proof of enumerate_rings
     for n in range(1, 14):
         for ring in catalog(n):
             again = validate(ring)
@@ -746,14 +746,30 @@ def test_validate_accepts_every_catalog_class_unchanged(catalog):
             assert np.array_equal(again.mul, ring.mul)
 
 
-def test_searched_classes_run_no_law_kernel(monkeypatch):
+def _forbid_law_kernels(monkeypatch):
     from ringcent import kernels
 
     def law_check(*tables):
-        raise AssertionError("a law kernel ran on a class of the search")
+        raise AssertionError("a law kernel ran on a catalog class")
 
     for name in ("add_table_check", "mul_assoc_check", "distrib_check"):
         monkeypatch.setattr(kernels, name, law_check)
+
+
+def test_searched_classes_run_no_law_kernel(monkeypatch):
+    _forbid_law_kernels(monkeypatch)
     cat = enumerate_rings(8)
+    assert cat.class_count == 52
+    assert all(ring.proved for ring in cat)
+
+
+def test_resumed_classes_run_no_law_kernel(tmp_path, monkeypatch):
+    # the rows of part files are proved on their generator products too
+    from ringcent import enumeration
+
+    enumerate_rings(8, out_dir=str(tmp_path))
+    _forbid_law_kernels(monkeypatch)
+    monkeypatch.setattr(enumeration, "raw_structures", None)  # every type resumes
+    cat = enumerate_rings(8, out_dir=str(tmp_path), resume=True)
     assert cat.class_count == 52
     assert all(ring.proved for ring in cat)

@@ -246,6 +246,9 @@ def test_the_constants_prove_a_ring_exactly_when_the_kernels_do_on_z2_z4():
         assert rings._constants_make_ring(factors, C) == (error is None), cells
         proved.append(error is None)
     assert sum(proved) == raw_structures(factors).shape[0]
+    # and all of them at once, as one (4096, 2, 2, 2) stack
+    stack = cv[list(itertools.product(range(8), repeat=4))].reshape(-1, 2, 2, 2)
+    assert rings._constants_make_ring(factors, stack).tolist() == proved
 
 
 def test_a_non_associative_structure_spec_raises_as_its_tables_do():
