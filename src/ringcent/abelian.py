@@ -11,7 +11,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import NotAdditiveSubgroup
+from .errors import NotAdditiveSubgroup, ValidationError
 from .groups import invariant_factors, prime_factorization
 from .rings import ElementSet, FiniteRing, additive_orders, is_additive_subgroup
 
@@ -57,7 +57,8 @@ def _classify_orders(orders: np.ndarray) -> AbelianGroupType:
             pj = p**j
             count = int((pj % orders == 0).sum())
             e_j = count.bit_length() - 1 if p == 2 else round(np.log(count) / np.log(p))
-            assert p**e_j == count, "census is not a p-group layer"
+            if p**e_j != count:
+                raise ValidationError("census is not a p-group layer")
             at_least.append(e_j - prev)
             prev = e_j
             if e_j == a:

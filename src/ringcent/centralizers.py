@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from .abelian import AbelianGroupType, classify_additive, quotient_type
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, ValidationError
 from .rings import ElementSet, FiniteRing, is_subring
 
 
@@ -24,7 +24,8 @@ def centralizer(R: FiniteRing, r: int) -> ElementSet:
         raise IndexOutOfRange(f"element {r} outside ring of order {R.order}")
     members = np.flatnonzero(R.mul[r] == R.mul[:, r])
     result = ElementSet.of(members, R.order)
-    assert is_subring(R, result), "centralizer is not a subring"
+    if not is_subring(R, result):
+        raise ValidationError("centralizer is not a subring")
     return result
 
 

@@ -496,23 +496,23 @@ def _flush_manifest(out_path, n, type_log, complete, catalog=None) -> None:
         }
         files = []
         for ring in catalog.representatives:
-            rel = f"rings/{ring.label}.json"
-            ring.spec().save(out_path / rel)
-            files.append(rel)
+            name = f"rings/{ring.label}.json"
+            ring.spec().save(out_path / name)
+            files.append(name)
         doc["rings"] = files
     _write_atomic(out_path / "manifest.json",
                   json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def read_catalog(path) -> IsoClassCatalog:
-    """Load a catalog directory written by enumerate_rings(out_dir=...)."""
+    """Load a catalog written by enumerate_rings(out_dir=...): class k of order n
+    from rings/o{n}_c{k:03d}.json; a manifest listing other files is refused."""
     path = Path(path)
     try:
         doc = json.loads((path / "manifest.json").read_text())
         order, counts = doc["order"], doc.get("per_type_raw", {})
         if any(type(v) is not int for v in [order, *counts.values()]):
             raise TypeError("order and per_type_raw counts must be integers")
-        files = [path / rel for rel in doc.get("rings", [])]
         per_type = {() if key == "1" else tuple(int(x) for x in key.split("x")): count
                     for key, count in counts.items()}
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -525,20 +525,26 @@ def read_catalog(path) -> IsoClassCatalog:
         if type(value) is not int:
             raise RingError(f"catalog at {path}: manifest.json {field} is "
                             f"{json.dumps(value)}, not an integer")
-    if classes != len(files):
-        raise RingError(f"catalog at {path}: manifest.json counts "
-                        f"{classes} classes but lists {len(files)} rings")
+    listed = doc.get("rings")
+    ok = isinstance(listed, list) and len(listed) == classes  # before building names
+    names = [f"rings/o{order}_c{k:03d}.json" for k in range(classes)] if ok else []
+    if not ok or names != listed:
+        raise RingError(f"catalog at {path}: manifest.json does not list the "
+                        f"files of its {classes} classes")
     if raw_total != sum(per_type.values()):
         raise RingError(f"catalog at {path}: manifest.json counts "
                         f"{raw_total} raw rings but its per_type_raw "
                         f"sums to {sum(per_type.values())}")
-    last = {file: i for i, file in enumerate(files)}  # a repeat maps to its last copy
-    reps = [validate(RingSpec.load(file)) for file in files]
-    for i, (file, ring) in enumerate(zip(files, reps)):
-        if last[file] != i or ring.order != order:
-            raise RingError(f"catalog at {path}: {file.relative_to(path)} " + (
-                "is listed twice" if last[file] != i else
-                f"holds a ring of order {ring.order}, not {order}"))
+    reps = []
+    for name in names:
+        spec = RingSpec.load(path / name)
+        try:
+            reps.append(validate(spec))
+        except RingError as exc:
+            raise type(exc)(f"catalog at {path}: {name}: {exc}") from None
+        if reps[-1].order != order:
+            raise RingError(f"catalog at {path}: {name} holds a ring of "
+                            f"order {reps[-1].order}, not {order}")
     return IsoClassCatalog(order, reps, per_type)
 
 

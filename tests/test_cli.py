@@ -133,6 +133,9 @@ MALFORMED_SPECS = {
     "float_table": '{"add": [[0, 1.7], [1.2, 0]], "mul": [[0, 0], [0, 0]]}',
     "float_group": '{"group": [2.5], "mul_constants": [[[0]]]}',
     "float_constants": '{"group": [2], "mul_constants": [[[1.5]]]}',
+    "array_spec": "[1, 2]",
+    "nested_group": '{"group": [[2]], "mul_constants": [[[0]]]}',
+    "unit_group": '{"group": [1], "mul_constants": [[[0]]]}',
 }
 
 
@@ -151,8 +154,8 @@ def test_inspect_rejects_a_label_that_is_not_a_string(tmp_path, capsys, label):
 
 
 # catalog directories whose manifest.json is absent (None), not JSON, JSON
-# without an order, with a listing of the wrong shape, or with a count that
-# is no integer
+# without an order, with a listing of the wrong shape, with a count that is
+# no integer, or marked incomplete
 MALFORMED_MANIFESTS = {
     "no_manifest": None,
     "truncated_manifest": '{"order": 4, "complete": tr',
@@ -162,6 +165,7 @@ MALFORMED_MANIFESTS = {
     "scalar_rings_manifest": '{"order": 4, "complete": true, "rings": 5}',
     "string_count_manifest": '{"order": 4, "complete": true, "classes": 0, '
                              '"per_type_raw": {"4": "7"}}',
+    "incomplete_manifest": '{"order": 4, "complete": false}',
 }
 
 
@@ -183,6 +187,7 @@ BAD_INPUTS = {
                             "--emit", "{dir}/missing/x.json"],
     "enumerate_out_is_a_file": ["enumerate", "--order", "2",
                                 "--out", "{dir}/ragged.json"],
+    "enumerate_order_0": ["enumerate", "--order", "0"],
 }
 
 
@@ -240,8 +245,45 @@ def test_a_catalog_ring_file_listed_twice_is_refused(tmp_path, capsys):
     code = main(["verify", "--universe", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"error: RingError: catalog at {tmp_path}: "
-        f"{Path(doc['rings'][2])} is listed twice"]
+        f"error: RingError: catalog at {tmp_path}: manifest.json does not "
+        "list the files of its 11 classes"]
+
+
+# manifest entries that name another file than enumerate writes for the class,
+# by index: one absolute path twice, a repeat through "..", and a ring file of
+# the same order from outside the catalog
+@pytest.mark.parametrize("entries", [
+    {2: "{other}/rings/o4_c002.json", 5: "{other}/rings/o4_c002.json"},
+    {5: "rings/../rings/o4_c002.json"},
+    {5: "../other/rings/o4_c005.json"},
+], ids=["absolute_twice", "dotdot_repeat", "outside"])
+def test_a_manifest_listing_other_files_is_refused(tmp_path, capsys, entries):
+    enumerate_rings(4, out_dir=str(tmp_path / "cat"))
+    enumerate_rings(4, out_dir=str(tmp_path / "other"))
+    manifest = tmp_path / "cat" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    for i, entry in entries.items():
+        doc["rings"][i] = entry.format(other=tmp_path / "other")
+    manifest.write_text(json.dumps(doc))
+    code = main(["verify", "--universe", str(tmp_path / "cat"),
+                 "--suite", "T1_no_2_3"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: RingError: catalog at {tmp_path / 'cat'}: manifest.json does "
+        "not list the files of its 11 classes"]
+
+
+def test_a_catalog_ring_file_that_breaks_a_law_is_named(tmp_path, capsys):
+    enumerate_rings(2, out_dir=str(tmp_path))
+    ring_file = tmp_path / "rings" / "o2_c001.json"
+    doc = json.loads(ring_file.read_text())
+    doc["mul"] = [[0, 1], [1, 0]]
+    ring_file.write_text(json.dumps(doc))
+    code = main(["verify", "--universe", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: NotDistributive: catalog at {tmp_path}: rings/o2_c001.json: "
+        "left distributivity fails at triple (1, 0, 0)"]
 
 
 def test_catalog_universe_above_the_cap_fails_before_searching(capsys):

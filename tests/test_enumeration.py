@@ -711,8 +711,22 @@ def test_catalog_counts_are_derived(tmp_path):
     assert (doc["classes"], doc["raw_total"]) == (2, 3)
     doc["classes"] = 3  # disagrees with the ring list
     manifest.write_text(json.dumps(doc))
-    with pytest.raises(RingError, match="counts 3 classes but lists 2 rings"):
+    with pytest.raises(RingError, match="does not list the files of its 3 classes"):
         read_catalog(tmp_path)
+
+
+@pytest.mark.parametrize("classes", [10**12, -1])
+def test_read_catalog_refuses_a_class_count_at_once(tmp_path, classes):
+    # the list's length is checked before any file name is built
+    enumerate_rings(3, out_dir=str(tmp_path))
+    manifest = tmp_path / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["classes"], doc["rings"] = classes, []
+    manifest.write_text(json.dumps(doc))
+    start = time.monotonic()
+    with pytest.raises(RingError, match=f"of its {classes} classes"):
+        read_catalog(tmp_path)
+    assert time.monotonic() - start < 1.0
 
 
 def test_read_catalog_checks_the_raw_total(tmp_path):

@@ -1,4 +1,5 @@
-"""The package's export list, and no definition the package never names."""
+"""The package's export list, no definition the package never names, and no
+assert statement."""
 
 import ast
 from collections import Counter
@@ -44,3 +45,12 @@ def test_every_module_level_definition_is_named_in_the_package():
     defined = [name for name in defined
                if not (name.startswith("__") and name.endswith("__"))]
     assert [name for name in defined if name not in named] == []
+
+
+def test_no_module_has_an_assert_statement():
+    # python -O strips asserts, so a self-check raises a RingError instead
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(ringcent.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
