@@ -1,11 +1,14 @@
 """Invariant-factor classification of finite abelian groups.
 
-Classification works from the element-order census: for each prime p, the
-count of elements killed by p^j determines the p-part partition, and the
-p-part partitions merge into one divisibility chain.  No matrix machinery is
-needed because we always hold a full Cayley table.
+Classification works from a census of the ring's table of multiples j*x
+(FiniteRing.multiples): for each prime p, the count of elements killed by
+p^j determines the p-part partition, and the p-part partitions merge into
+one divisibility chain.  A quotient R/S is counted on the same table, an
+element x + S being killed by p^j when p^j * x lies in S, so neither R/Z(R)
+nor any other quotient is built as a group of its own.
 """
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -13,7 +16,7 @@ import numpy as np
 
 from .errors import NotAdditiveSubgroup, ValidationError
 from .groups import invariant_factors, prime_factorization
-from .rings import ElementSet, FiniteRing, additive_orders, is_additive_subgroup
+from .rings import ElementSet, FiniteRing, is_additive_subgroup
 
 
 @dataclass(frozen=True)
@@ -44,47 +47,35 @@ class AbelianGroupType:
         return list(self.invariant_factors)
 
 
-def _classify_orders(orders: np.ndarray) -> AbelianGroupType:
-    n = orders.shape[0]
-    if n == 1:
-        return AbelianGroupType(())
+def _census(R: FiniteRing, S: tuple[int, ...]) -> AbelianGroupType:
+    """Type of R/S for the additive subgroup with members S: for each prime
+    p, R/S has p^e_j elements killed by p^j, where
+    p^e_j * |S| = #{x : p^j * x in S}, and e_j - e_{j-1} parts of its
+    p-partition are >= j."""
+    inside = np.zeros(R.order, dtype=bool)
+    inside[list(S)] = True
     partitions: dict[int, list[int]] = {}
-    for p, a in prime_factorization(n).items():
-        # e_j = log_p #{x : p^j x = 0}; parts >= j in the p-partition = e_j - e_{j-1}
-        prev = 0
-        at_least = []
+    for p, a in prime_factorization(R.order // len(S)).items():
+        m = R.multiples  # read on first use: a trivial R/S needs none
+        e = [0]
         for j in range(1, a + 1):
-            pj = p**j
-            count = int((pj % orders == 0).sum())
-            e_j = count.bit_length() - 1 if p == 2 else round(np.log(count) / np.log(p))
-            if p**e_j != count:
+            count = int(inside[m[:, p**j % m.shape[1]]].sum()) // len(S)
+            e.append(round(math.log(count, p)))
+            if p ** e[-1] != count:
                 raise ValidationError("census is not a p-group layer")
-            at_least.append(e_j - prev)
-            prev = e_j
-            if e_j == a:
-                break
-        parts = [sum(1 for m in at_least if m >= i + 1) for i in range(max(at_least, default=0))]
-        partitions[p] = sorted(parts, reverse=True)
+        at_least = np.diff(e)
+        partitions[p] = [int((at_least > i).sum()) for i in range(at_least.max())]
     return AbelianGroupType(invariant_factors(partitions))
 
 
 def classify_additive(R: FiniteRing) -> AbelianGroupType:
-    """Invariant factors of the additive group (R, +)."""
-    return _classify_orders(R.additive_orders())
+    """Invariant factors of the additive group (R, +): the census of R/{0}."""
+    return _census(R, (0,))
 
 
 def quotient_type(R: FiniteRing, S: ElementSet) -> AbelianGroupType:
-    """Type of the additive quotient group R/S.
-
-    Each coset is represented by its smallest element index; the quotient's
-    Cayley table on those representatives is classified from its element
-    orders (rings.additive_orders).
-    """
+    """Type of the additive quotient group R/S, counted on the multiples of
+    R (_census)."""
     if not is_additive_subgroup(R, S):
         raise NotAdditiveSubgroup(f"{S.members} is not an additive subgroup")
-    rep = R.add[:, list(S.members)].min(axis=1)  # smallest index in x + S
-    reps = np.unique(rep)
-    pos = np.zeros(R.order, dtype=np.int64)  # pos[r] = index of representative r
-    pos[reps] = np.arange(reps.shape[0])
-    table = pos[rep[R.add[np.ix_(reps, reps)]]]
-    return _classify_orders(additive_orders(table))
+    return _census(R, S.members)

@@ -32,7 +32,6 @@ from .rings import (
     RingSpec,
     _constants_make_ring,
     _int_array,
-    _multiples,
     structure_tables,
     validate,
 )
@@ -64,18 +63,17 @@ def coordinates(R: FiniteRing) -> tuple[tuple[int, ...], np.ndarray]:
     """
     factors = classify_additive(R).invariant_factors
     orders = R.additive_orders()
-    mult = _multiples(R.add)
     coords = np.zeros(1, dtype=np.int64)
     for d in factors[::-1]:
         for b in np.flatnonzero(orders == d):
-            steps = mult[b, :d]
+            steps = R.multiples[b, :d]
             grown = R.add[steps[:, None], coords[None, :]].reshape(-1)
             if np.unique(grown).size == grown.size:
                 coords = grown
                 break
         else:
-            raise AssertionError(f"no element of order {d} extends the "
-                                 f"additive basis of {R.label}")
+            raise ValidationError(f"no element of order {d} extends the "
+                                  f"additive basis of {R.label}")
     return factors, coords
 
 
@@ -506,20 +504,30 @@ def _flush_manifest(out_path, n, type_log, complete, catalog=None) -> None:
 
 def read_catalog(path) -> IsoClassCatalog:
     """Load a catalog written by enumerate_rings(out_dir=...): class k of order n
-    from rings/o{n}_c{k:03d}.json; a manifest listing other files is refused."""
+    from rings/o{n}_c{k:03d}.json.  A manifest whose "complete" is not JSON
+    true is a PartialUniverse; one whose order is outside 1..MAX_ENUM_ORDER,
+    whose per_type_raw keys are not the group types of its order, or that
+    lists other files is refused."""
     path = Path(path)
     try:
         doc = json.loads((path / "manifest.json").read_text())
         order, counts = doc["order"], doc.get("per_type_raw", {})
         if any(type(v) is not int for v in [order, *counts.values()]):
             raise TypeError("order and per_type_raw counts must be integers")
-        per_type = {() if key == "1" else tuple(int(x) for x in key.split("x")): count
-                    for key, count in counts.items()}
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise RingError(f"catalog at {path}: manifest.json is missing or "
                         f"malformed ({exc.__class__.__name__}: {exc})") from None
-    if not doc.get("complete"):
+    if not 1 <= order <= MAX_ENUM_ORDER:  # before factoring it
+        raise RingError(f"catalog at {path}: manifest.json order {order} is "
+                        f"outside 1..{MAX_ENUM_ORDER}")
+    if doc.get("complete") is not True:
         raise PartialUniverse(f"catalog at {path} is incomplete")
+    types = {_type_key(t): t for t in groups.abelian_group_types(order)}
+    if counts.keys() != types.keys():
+        raise RingError(f"catalog at {path}: manifest.json per_type_raw keys "
+                        f"{sorted(counts)} are not the group types "
+                        f"{sorted(types)} of order {order}")
+    per_type = {types[key]: count for key, count in counts.items()}
     classes, raw_total = doc.get("classes"), doc.get("raw_total")
     for field, value in (("classes", classes), ("raw_total", raw_total)):
         if type(value) is not int:

@@ -61,26 +61,6 @@ class ElementSet:
         return iter(self.members)
 
 
-def additive_orders(add: np.ndarray) -> np.ndarray:
-    """Order of every element of the group with Cayley table `add`: all
-    elements walk y -> y + x at once, and an element leaves the walk when
-    its y reaches 0.  In a group of order n every element has left after
-    n - 1 steps; an element still walking then, on a table that is no
-    group, is a ValidationError naming it."""
-    n = add.shape[0]
-    y = np.arange(n)
-    out = np.ones(n, dtype=np.int64)
-    live = np.flatnonzero(y)
-    for _ in range(n):
-        if not live.size:
-            return out
-        y[live] = add[y[live], live]
-        out[live] += 1
-        live = live[y[live] != 0]
-    raise ValidationError(f"element {live[0]} has no additive order: "
-                          f"its multiples never reach 0")
-
-
 class FiniteRing:
     """Order-n ring as immutable addition and multiplication tables."""
 
@@ -106,9 +86,15 @@ class FiniteRing:
     def is_commutative(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
 
+    @cached_property  # read-only, like the tables it is read off
+    def multiples(self) -> np.ndarray:
+        """The table j*x of the addition (rings._multiples)."""
+        return _multiples(self.add)
+
     def additive_orders(self) -> np.ndarray:
-        """Additive order of every element (rings.additive_orders)."""
-        return additive_orders(self.add)
+        """Additive order of every element: the least j >= 1 with j*x = 0."""
+        # columns 1..e of the multiples, since e*x = 0*x
+        return (np.roll(self.multiples, -1, axis=1) == 0).argmax(axis=1) + 1
 
     def unity(self) -> Optional[int]:
         n = self.order
@@ -480,16 +466,26 @@ BLOCK_CELLS = 1 << 16
 
 
 def _multiples(add: np.ndarray) -> np.ndarray:
-    """Table m[x, j] = j*x for j below the exponent of the group, built by
-    doubling the number of columns until j*x wraps round for every x."""
+    """Read-only table m[x, j] = j*x for j below the exponent e of the
+    group, the least j >= 1 with j*x = 0 for every x, built by doubling the
+    number of columns until e is among them; element orders and group types
+    are read off it.  On a table that is no group, the first x whose
+    multiples never reach 0 is a ValidationError."""
     n = add.shape[0]
     m = np.zeros((n, 1), dtype=np.int64)
     step = np.arange(n)  # w*x for the current width w
-    while m.shape[1] < n and step.any():
+    zero = [0]  # the j < w with j*x = 0 for every x
+    while len(zero) == 1 and m.shape[1] < n and step.any():
         m = np.concatenate([m, add[m, step[:, None]]], axis=1)
         step = add[step, step]
-    zero = np.flatnonzero(~m.any(axis=0))  # j with j*x = 0 for every x
-    return m[:, :zero[1]] if zero.size > 1 else m
+        zero = np.flatnonzero(~m.any(axis=0))
+    m = m[:, :zero[1]].copy() if len(zero) > 1 else m  # drop the wider table
+    stray = np.flatnonzero(add[m[:, -1], np.arange(n)])  # e*x != 0
+    if stray.size:
+        raise ValidationError(f"element {stray[0]} has no additive order: "
+                              f"its multiples never reach 0")
+    m.setflags(write=False)
+    return m
 
 
 def _masks(keys: list[bytes], n: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from ringcent import groups
 from ringcent.centralizers import cent_set
 from ringcent.enumeration import catalog_rings, coordinates
 from ringcent.errors import TooLarge, ValidationError
-from ringcent.rings import FiniteRing, _multiples, validate
+from ringcent.rings import FiniteRing, validate
 from ringcent.suites import SUITES, run_suite
 
 
@@ -71,8 +71,8 @@ def isomorphic(R1: FiniteRing, R2: FiniteRing, witness: bool = False):
          if orders2[y] == factors[i] and fp2[y] == fp1[basis[i]]]
         for i in range(k)
     ]
-    cyc1 = _multiples(R1.add)[basis].tolist()
-    mult2 = _multiples(R2.add)
+    cyc1 = R1.multiples[basis].tolist()
+    mult2 = R2.multiples
 
     images: list[int] = []
     phi_partial: dict[int, int] = {0: 0}

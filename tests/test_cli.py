@@ -223,6 +223,41 @@ def test_manifest_counts_must_be_json_integers(tmp_path, capsys, field, value):
         f"{json.dumps(value)}, not an integer"]
 
 
+# an order-4 catalog's manifest has per_type_raw {"2x2": 28, "4": 4}
+@pytest.mark.parametrize("field, value, message", [
+    ("order", 17, "RingError: catalog at {dir}: manifest.json order 17 is "
+                  "outside 1..16"),
+    ("order", 0, "RingError: catalog at {dir}: manifest.json order 0 is "
+                 "outside 1..16"),
+    # a prime whose factoring by trial division would not finish
+    ("order", 2**61 - 1, "RingError: catalog at {dir}: manifest.json order "
+                         f"{2**61 - 1} is outside 1..16"),
+    ("per_type_raw", {"3": 32}, "RingError: catalog at {dir}: manifest.json "
+     "per_type_raw keys ['3'] are not the group types ['2x2', '4'] of order 4"),
+    ("per_type_raw", {"2x-2": 28, "4": 4}, "RingError: catalog at {dir}: "
+     "manifest.json per_type_raw keys ['2x-2', '4'] are not the group types "
+     "['2x2', '4'] of order 4"),
+    ("per_type_raw", {"4": 32}, "RingError: catalog at {dir}: manifest.json "
+     "per_type_raw keys ['4'] are not the group types ['2x2', '4'] of order 4"),
+    ("complete", "no", "PartialUniverse: catalog at {dir} is incomplete"),
+    ("complete", 1, "PartialUniverse: catalog at {dir} is incomplete"),
+], ids=["order_17", "order_0", "order_huge_prime", "type_of_order_3",
+        "type_2x-2", "type_missing", "complete_no", "complete_1"])
+def test_manifest_order_types_and_completeness_are_checked(tmp_path, capsys,
+                                                           field, value, message):
+    enumerate_rings(4, out_dir=str(tmp_path))
+    manifest = tmp_path / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc[field] = value
+    manifest.write_text(json.dumps(doc))
+    start = time.monotonic()
+    code = main(["verify", "--universe", str(tmp_path)])
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: " + message.format(dir=tmp_path)]
+
+
 def test_a_catalog_ring_file_of_another_order_is_refused(tmp_path, capsys):
     enumerate_rings(4, out_dir=str(tmp_path / "o4"))
     enumerate_rings(2, out_dir=str(tmp_path / "o2"))
